@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +227,25 @@ class TestBounds:
         code, _, err = _run(capsys, ["bounds"])
         assert code == 1
         assert "usage" in err
+
+
+# Exit code, stdout and last stderr line of `nckit bounds` argv lists, recorded
+# before the bounds CLI was generated from a table: every argv list of this
+# file, the closed-form sweep and both --verify calls of bench/workloads.py
+# (with fewer trials), and usage and validation errors.
+GOLDEN_BOUNDS = json.loads((Path(__file__).parent / "golden_bounds.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case",
+    GOLDEN_BOUNDS,
+    ids=[f"{i:02d}-{'-'.join(c['argv'][1:2])}" for i, c in enumerate(GOLDEN_BOUNDS)],
+)
+def test_bounds_golden(capsys, case):
+    code, out, err = _run(capsys, case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
+    assert (err.splitlines() or [""])[-1] == case["stderr_last_line"]
 
 
 class TestSynth:
