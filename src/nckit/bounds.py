@@ -21,13 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import json_float
+
 _CHUNK = 4096
 _RELAXED_GAMMA_GRID = tuple(g / 20 for g in range(1, 20))  # 0.05 .. 0.95
 
 
 def _require_nonnegative(**values: float) -> None:
     for name, value in values.items():
-        if value < 0:
+        if not value >= 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
 
 
@@ -66,7 +68,7 @@ class Prop1Inputs:
             mean_norm_i=self.mean_norm_i,
             mean_norm_j=self.mean_norm_j,
         )
-        if self.pop_mean_dist <= 0 or self.emp_mean_dist <= 0:
+        if not (self.pop_mean_dist > 0 and self.emp_mean_dist > 0):
             raise ValueError("mean distances must be strictly positive")
 
 
@@ -102,7 +104,7 @@ class Prop2Inputs:
             sup_feat_norm=self.sup_feat_norm,
             rademacher=self.rademacher,
         )
-        if self.delta_fstar <= 0:
+        if not self.delta_fstar > 0:
             raise ValueError("delta_fstar must be strictly positive")
         if self.l < 2:
             raise ValueError("l must be at least 2")
@@ -152,7 +154,7 @@ class ReluBoundInputs:
         for name in ("p", "q", "l", "m_c"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.sup_x_norm <= 0:
+        if not self.sup_x_norm > 0:
             raise ValueError("sup_x_norm must be strictly positive")
         # M = 0 is admitted so the degenerate zero-complexity class evaluates to 0
         _require_nonnegative(spectral_complexity=self.spectral_complexity, M=self.M)
@@ -224,7 +226,7 @@ def prop5_gaussian_bound(k: int, p: int, v_max: float) -> float:
         raise ValueError("k must be at least 2")
     if p < 1:
         raise ValueError("p must be a positive integer")
-    if v_max <= 0:
+    if not v_max > 0:
         raise ValueError("v_max must be strictly positive")
     if v_max > 1.0 / 16.0:
         raise ValueError(f"v_max={v_max} violates the precondition v_max <= 1/16")
@@ -249,7 +251,7 @@ def prop5_relaxed_bound(k: int, p: int, n_c: int, v_max: float, gamma: float) ->
         raise ValueError("p and n_c must be positive integers")
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    if v_max <= 0:
+    if not v_max > 0:
         raise ValueError("v_max must be strictly positive")
     threshold = gamma**2 * n_c / 4.0
     if v_max > threshold:
@@ -302,7 +304,7 @@ class GaussianClassModel:
             raise ValueError("means must be a (k, p) array with k >= 2")
         if variances.shape != (means.shape[0],):
             raise ValueError("total_variances must hold one value per class")
-        if (variances <= 0).any():
+        if not (variances > 0).all():
             raise ValueError("total variances must be strictly positive")
         if not np.isfinite(means).all():
             raise ValueError("means must be finite")
@@ -392,14 +394,12 @@ class BoundCheckReport:
     satisfied: bool
 
     def to_json_dict(self) -> dict:
-        from .metrics import _json_float
-
         return {
             "bound_name": self.bound_name,
             "params": self.params,
-            "bound_value": _json_float(self.bound_value),
-            "empirical_estimate": _json_float(self.empirical_estimate),
-            "std_error": _json_float(self.std_error),
+            "bound_value": json_float(self.bound_value),
+            "empirical_estimate": json_float(self.empirical_estimate),
+            "std_error": json_float(self.std_error),
             "trials": self.trials,
             "seed": self.seed,
             "satisfied": self.satisfied,

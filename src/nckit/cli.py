@@ -10,11 +10,15 @@ atomically; a validation failure never leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import inspect
 import json
 import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +26,9 @@ from . import bounds as bounds_mod
 from . import fewshot as fewshot_mod
 from . import metrics as metrics_mod
 from . import synth as synth_mod
+from .bounds import Prop1Inputs, Prop2Inputs, ReluBoundInputs
 from .embeddings import FORMATS, load_embeddings, partition_by_class, save_embeddings
+from .metrics import json_float
 
 
 class _UsageError(Exception):
@@ -33,6 +39,16 @@ class _Parser(argparse.ArgumentParser):
     # bad usage must exit 1, not argparse's default 2
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}error: {message}")
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
 
 
 def _infer_format(path: str, flag: str | None) -> str:
@@ -48,17 +64,18 @@ def _infer_format(path: str, flag: str | None) -> str:
     )
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_path(path: str):
+    """Yield a temporary path beside ``path``: moved to ``path`` on success, deleted on failure."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nckit-tmp-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        yield tmp
         os.replace(tmp, path)
-    except BaseException:
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -66,20 +83,70 @@ def _emit(doc: dict, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        _atomic_write_text(out_path, text)
+        with _atomic_path(out_path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
+_FLAG_TYPES = {"int": int, "int | None": int, "float": _finite}
+_FLAG_NAMES = {"M": "complexity_cap"}  # flag and params key; other parameters keep their names
+_NOT_PARAMS = ("command", "run", "bound_name", "output", "verify", "trials", "seed")
+_signature = functools.cache(inspect.signature)  # read once per process, not per call
+
+
+@dataclass(frozen=True)
+class _Bound:
+    """One ``nckit bounds`` subcommand; its flags are the evaluator's parameters, ``_`` as ``-``."""
+
+    help: str
+    evaluator: str  # name in nckit.bounds, looked up at call time
+    inputs: type | None = None  # dataclass the evaluator takes; None: keyword arguments
+    verify: dict = field(default_factory=dict)  # --verify's integer flags; {}: no --verify
+    defaults: dict = field(default_factory=dict)  # flag defaults the evaluator does not set
+    fixed: dict = field(default_factory=dict)  # inputs fields that get no flag
+
+
+_BOUNDS = {
+    "lemma1": _Bound("population-variance bound", "lemma1_variance_bound"),
+    "prop1": _Bound("same-class collapse generalization bound", "prop1_bound", Prop1Inputs),
+    "prop2": _Bound("new-class collapse bound", "prop2_bound", Prop2Inputs),
+    "prop3-eps1": _Bound(
+        "first-moment concentration, ReLU maps", "prop3_eps1", ReluBoundInputs, defaults={"M": 1.0}
+    ),
+    "prop3-eps2": _Bound(
+        "second-moment concentration, ReLU maps", "prop3_eps2", ReluBoundInputs, defaults={"M": 1.0}
+    ),
+    "prop4": _Bound(
+        "Rademacher complexity bound for ReLU maps",
+        "prop4_rademacher_bound",
+        ReluBoundInputs,
+        # prop4 ignores these fields, but the public evaluator takes a whole ReluBoundInputs
+        fixed={"m_c": 1, "spectral_complexity": 0.0, "delta": 0.5},
+    ),
+    "prop5-general": _Bound("nearest-mean error bound", "prop5_general_bound"),
+    "prop5-gaussian": _Bound(  # --verify draws n_c support points per class
+        "spherical-Gaussian bound", "prop5_gaussian_bound", verify={"n_c": None, "trials": 20000}
+    ),
+    "prop5-relaxed": _Bound(
+        "relaxed Gaussian error bound", "prop5_relaxed_bound", verify={"trials": 20000}
+    ),
+    "lemma2": _Bound(
+        "minimal-distance bound in the unit cube", "lemma2_lower_bound", verify={"trials": 100000}
+    ),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nckit", description=__doc__)
-    parser.set_defaults(command=None, output=None)
     sub = parser.add_subparsers(dest="command")
 
     analyze = sub.add_parser("analyze", help="collapse metrics of an embedding file")
+    analyze.set_defaults(run=_run_analyze)
     analyze.add_argument("input", help="embedding file to analyze")
     analyze.add_argument("--format", choices=FORMATS, default=None)
     analyze.add_argument("-o", "--output", default=None, help="write JSON here instead of stdout")
 
     fewshot = sub.add_parser("fewshot", help="episode-based few-shot evaluation")
+    fewshot.set_defaults(run=_run_fewshot)
     fewshot.add_argument("input", help="embedding file holding the class pool")
     fewshot.add_argument("--format", choices=FORMATS, default=None)
     fewshot.add_argument("--k", type=int, default=5, help="classes per episode (default 5)")
@@ -87,7 +154,7 @@ def _build_parser() -> _Parser:
     fewshot.add_argument("--n-query", type=int, default=100, help="query points per class")
     fewshot.add_argument("--episodes", type=int, default=100)
     fewshot.add_argument("--head", choices=fewshot_mod.HEADS, default="ridge")
-    fewshot.add_argument("--alpha", type=float, default=1.0, help="ridge regularization scale")
+    fewshot.add_argument("--alpha", type=_finite, default=1.0, help="ridge regularization scale")
     fewshot.add_argument(
         "--lambda-exponent",
         type=float,
@@ -99,94 +166,29 @@ def _build_parser() -> _Parser:
     fewshot.add_argument("-o", "--output", default=None)
 
     bounds = sub.add_parser("bounds", help="closed-form bound evaluators and verifiers")
+    bounds.set_defaults(run=_run_bounds)
     bsub = bounds.add_subparsers(dest="bound_name")
-    bounds.set_defaults(bound_name=None)
-
-    lemma1 = bsub.add_parser("lemma1", help="population-variance bound")
-    lemma1.add_argument("--emp-var", type=float, required=True)
-    lemma1.add_argument("--eps1", type=float, required=True)
-    lemma1.add_argument("--eps2", type=float, required=True)
-    lemma1.add_argument("--pop-mean-norm", type=float, required=True)
-
-    prop1 = bsub.add_parser("prop1", help="same-class collapse generalization bound")
-    prop1.add_argument("--empirical-cdnv", type=float, required=True)
-    prop1.add_argument("--eps1-i", type=float, required=True)
-    prop1.add_argument("--eps1-j", type=float, required=True)
-    prop1.add_argument("--eps2-i", type=float, required=True)
-    prop1.add_argument("--eps2-j", type=float, required=True)
-    prop1.add_argument("--mean-norm-i", type=float, required=True)
-    prop1.add_argument("--mean-norm-j", type=float, required=True)
-    prop1.add_argument("--pop-mean-dist", type=float, required=True)
-    prop1.add_argument("--emp-mean-dist", type=float, required=True)
-
-    prop2 = bsub.add_parser("prop2", help="new-class collapse bound")
-    prop2.add_argument("--avg-source-cdnv", type=float, required=True)
-    prop2.add_argument("--delta-fstar", type=float, required=True)
-    prop2.add_argument("--sup-var", type=float, required=True)
-    prop2.add_argument("--sup-feat-norm", type=float, required=True)
-    prop2.add_argument("--l", type=int, required=True)
-    prop2.add_argument("--rademacher", type=float, required=True)
-    prop2.add_argument("--delta", type=float, required=True)
-
-    for name,__help in (
-        ("prop3-eps1", "first-moment concentration for ReLU feature maps"),
-        ("prop3-eps2", "second-moment concentration for ReLU feature maps"),
-    ):
-        sp = bsub.add_parser(name, help=__help)
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--l", type=int, required=True)
-        sp.add_argument("--m-c", type=int, required=True)
-        sp.add_argument("--sup-x-norm", type=float, required=True)
-        sp.add_argument("--spectral-complexity", type=float, required=True)
-        sp.add_argument("--complexity-cap", type=float, default=1.0, help="the cap M")
-        sp.add_argument("--delta", type=float, required=True)
-
-    prop4 = bsub.add_parser("prop4", help="Rademacher complexity bound for ReLU maps")
-    prop4.add_argument("--p", type=int, required=True)
-    prop4.add_argument("--q", type=int, required=True)
-    prop4.add_argument("--l", type=int, required=True)
-    prop4.add_argument("--complexity-cap", type=float, required=True, help="the cap M")
-    prop4.add_argument("--sup-x-norm", type=float, required=True)
-
-    p5g = bsub.add_parser("prop5-general", help="nearest-mean error bound")
-    p5g.add_argument("--k", type=int, required=True)
-    p5g.add_argument("--n-c", type=int, required=True)
-    p5g.add_argument("--avg-cdnv", type=float, required=True)
-    p5g.add_argument("--spherical-p", type=int, default=None)
-
-    p5gauss = bsub.add_parser("prop5-gaussian", help="spherical-Gaussian error bound")
-    p5gauss.add_argument("--k", type=int, required=True)
-    p5gauss.add_argument("--p", type=int, required=True)
-    p5gauss.add_argument("--v-max", type=float, required=True)
-    p5gauss.add_argument("--verify", action="store_true", help="Monte Carlo check on an ETF model")
-    p5gauss.add_argument("--n-c", type=int, default=None, help="support size per class (verify)")
-    p5gauss.add_argument("--trials", type=int, default=20000)
-    p5gauss.add_argument("--seed", type=int, default=0)
-
-    p5relax = bsub.add_parser("prop5-relaxed", help="relaxed Gaussian error bound")
-    p5relax.add_argument("--k", type=int, required=True)
-    p5relax.add_argument("--p", type=int, required=True)
-    p5relax.add_argument("--n-c", type=int, required=True)
-    p5relax.add_argument("--v-max", type=float, required=True)
-    p5relax.add_argument("--gamma", type=float, required=True)
-    p5relax.add_argument("--verify", action="store_true", help="Monte Carlo check on an ETF model")
-    p5relax.add_argument("--trials", type=int, default=20000)
-    p5relax.add_argument("--seed", type=int, default=0)
-
-    lemma2 = bsub.add_parser("lemma2", help="minimal-distance lower bound in the unit cube")
-    lemma2.add_argument("--n", type=int, required=True)
-    lemma2.add_argument("--p", type=int, required=True)
-    lemma2.add_argument("--verify", action="store_true")
-    lemma2.add_argument("--trials", type=int, default=100000)
-    lemma2.add_argument("--seed", type=int, default=0)
-
-    for sp in (lemma1, prop1, prop2, prop4, p5g, p5gauss, p5relax, lemma2):
+    for name, bound in _BOUNDS.items():
+        sp = bsub.add_parser(name, help=bound.help)
+        source = bound.inputs or getattr(bounds_mod, bound.evaluator)
+        for param in _signature(source).parameters.values():
+            if param.name in bound.fixed:
+                continue
+            flag = "--" + _FLAG_NAMES.get(param.name, param.name).replace("_", "-")
+            kind = _FLAG_TYPES[param.annotation]
+            default = bound.defaults.get(param.name, param.default)
+            if default is param.empty:
+                sp.add_argument(flag, dest=param.name, type=kind, required=True)
+            else:
+                sp.add_argument(flag, dest=param.name, type=kind, default=default)
+        if bound.verify:
+            sp.add_argument("--verify", action="store_true", help="Monte Carlo check")
+            for dest, default in {**bound.verify, "seed": 0}.items():
+                sp.add_argument("--" + dest.replace("_", "-"), type=int, default=default)
         sp.add_argument("-o", "--output", default=None)
-    for name in ("prop3-eps1", "prop3-eps2"):
-        bsub.choices[name].add_argument("-o", "--output", default=None)
 
     synth = sub.add_parser("synth", help="generate an embedding file from a mixture spec")
+    synth.set_defaults(run=_run_synth)
     synth.add_argument("spec", help="JSON document mirroring the mixture spec fields")
     synth.add_argument("-o", "--output", required=True, help="embedding file to write")
     synth.add_argument("--format", choices=FORMATS, default=None)
@@ -208,7 +210,7 @@ def _run_analyze(args) -> tuple[dict, bool, str | None]:
         "config": config,
         "cdnv": metrics_mod.cdnv_matrix(partition).to_json_dict(),
         "geometry": metrics_mod.geometry(partition).to_json_dict(),
-        "ccnv": metrics_mod._json_float(metrics_mod.ccnv(partition)),
+        "ccnv": json_float(metrics_mod.ccnv(partition)),
     }
     return doc, True, args.output
 
@@ -245,94 +247,11 @@ def _run_fewshot(args) -> tuple[dict, bool, str | None]:
     return doc, True, args.output
 
 
-def _unit_distance_etf_model(k: int, p: int, v_max: float) -> bounds_mod.GaussianClassModel:
-    # ETF means rescaled to unit pairwise distance, equal variances = v_max
-    scale = 1.0 / math.sqrt(2.0 * k / (k - 1.0))
-    means = synth_mod.simplex_etf_means(k, p, scale=scale)
-    return bounds_mod.GaussianClassModel(
-        means=means, total_variances=np.full(k, v_max), spherical=True
-    )
-
-
-def _bounds_value(args) -> float:
-    name = args.bound_name
-    if name == "lemma1":
-        return bounds_mod.lemma1_variance_bound(
-            args.emp_var, args.eps1, args.eps2, args.pop_mean_norm
-        )
-    if name == "prop1":
-        return bounds_mod.prop1_bound(
-            bounds_mod.Prop1Inputs(
-                empirical_cdnv=args.empirical_cdnv,
-                eps1_i=args.eps1_i,
-                eps1_j=args.eps1_j,
-                eps2_i=args.eps2_i,
-                eps2_j=args.eps2_j,
-                mean_norm_i=args.mean_norm_i,
-                mean_norm_j=args.mean_norm_j,
-                pop_mean_dist=args.pop_mean_dist,
-                emp_mean_dist=args.emp_mean_dist,
-            )
-        )
-    if name == "prop2":
-        return bounds_mod.prop2_bound(
-            bounds_mod.Prop2Inputs(
-                avg_source_cdnv=args.avg_source_cdnv,
-                delta_fstar=args.delta_fstar,
-                sup_var=args.sup_var,
-                sup_feat_norm=args.sup_feat_norm,
-                l=args.l,
-                rademacher=args.rademacher,
-                delta=args.delta,
-            )
-        )
-    if name in ("prop3-eps1", "prop3-eps2"):
-        inputs = bounds_mod.ReluBoundInputs(
-            p=args.p,
-            q=args.q,
-            l=args.l,
-            m_c=args.m_c,
-            sup_x_norm=args.sup_x_norm,
-            spectral_complexity=args.spectral_complexity,
-            M=args.complexity_cap,
-            delta=args.delta,
-        )
-        fn = bounds_mod.prop3_eps1 if name == "prop3-eps1" else bounds_mod.prop3_eps2
-        return fn(inputs)
-    if name == "prop4":
-        inputs = bounds_mod.ReluBoundInputs(
-            p=args.p,
-            q=args.q,
-            l=args.l,
-            m_c=1,
-            sup_x_norm=args.sup_x_norm,
-            spectral_complexity=0.0,
-            M=args.complexity_cap,
-            delta=0.5,
-        )
-        return bounds_mod.prop4_rademacher_bound(inputs)
-    if name == "prop5-general":
-        return bounds_mod.prop5_general_bound(
-            args.k, args.n_c, args.avg_cdnv, spherical_p=args.spherical_p
-        )
-    if name == "prop5-gaussian":
-        return bounds_mod.prop5_gaussian_bound(args.k, args.p, args.v_max)
-    if name == "prop5-relaxed":
-        return bounds_mod.prop5_relaxed_bound(args.k, args.p, args.n_c, args.v_max, args.gamma)
-    if name == "lemma2":
-        return bounds_mod.lemma2_lower_bound(args.n, args.p)
-    raise _UsageError(f"usage: nckit bounds <name> [params]\nerror: unknown bound {name!r}")
-
-
 def _run_bounds(args) -> tuple[dict, bool, str | None]:
     if args.bound_name is None:
         raise _UsageError("usage: nckit bounds <name> [params]\nerror: missing bound name")
-    params = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in ("command", "bound_name", "output", "verify", "trials", "seed")
-        and value is not None
-    }
+    given = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and v is not None}
+    params = {_FLAG_NAMES.get(k, k): v for k, v in sorted(given.items())}
     config = {
         "command": "bounds",
         "name": args.bound_name,
@@ -346,19 +265,25 @@ def _run_bounds(args) -> tuple[dict, bool, str | None]:
         if args.bound_name == "lemma2":
             report = bounds_mod.verify_lemma2_mc(args.n, args.p, args.trials, args.seed)
         else:
-            if args.bound_name == "prop5-gaussian" and args.n_c is None:
+            if args.n_c is None:
                 raise ValueError("--verify needs --n-c to draw support sets")
-            model = _unit_distance_etf_model(args.k, args.p, args.v_max)
+            # ETF means rescaled to unit pairwise distance, equal variances = v_max
+            scale = 1.0 / math.sqrt(2.0 * args.k / (args.k - 1.0))
+            means = synth_mod.simplex_etf_means(args.k, args.p, scale=scale)
+            model = bounds_mod.GaussianClassModel(means, np.full(args.k, args.v_max))
             report = bounds_mod.verify_prop5_mc(model, args.n_c, args.trials, args.seed)
         doc = report.to_json_dict()
         doc["config"] = config
         return doc, report.satisfied, args.output
-    value = _bounds_value(args)
+    bound = _BOUNDS[args.bound_name]
+    values = {k: v for k, v in given.items() if k not in bound.verify}
+    evaluate = getattr(bounds_mod, bound.evaluator)
+    value = evaluate(bound.inputs(**values, **bound.fixed)) if bound.inputs else evaluate(**values)
     doc = {
         "config": config,
         "bound_name": args.bound_name,
         "params": params,
-        "value": metrics_mod._json_float(value),
+        "value": json_float(value),
     }
     return doc, True, args.output
 
@@ -372,16 +297,8 @@ def _run_synth(args) -> tuple[dict, bool, str | None]:
             raise ValueError(f"invalid spec JSON: {exc}") from exc
     spec = synth_mod.MixtureSpec.from_json_dict(raw)
     embeddings = synth_mod.gaussian_mixture(spec)
-    directory = os.path.dirname(os.path.abspath(args.output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nckit-tmp-")
-    os.close(fd)
-    try:
+    with _atomic_path(args.output) as tmp:
         save_embeddings(embeddings, tmp, format=fmt)
-        os.replace(tmp, args.output)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
     doc = {
         "config": {
             "command": "synth",
@@ -398,21 +315,13 @@ def _run_synth(args) -> tuple[dict, bool, str | None]:
     return doc, True, None
 
 
-_COMMANDS = {
-    "analyze": _run_analyze,
-    "fewshot": _run_fewshot,
-    "bounds": _run_bounds,
-    "synth": _run_synth,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError(parser.format_usage() + "error: missing command")
-        doc, verified, json_path = _COMMANDS[args.command](args)
+        doc, verified, json_path = args.run(args)
         _emit(doc, json_path)
     except _UsageError as err:
         print(str(err), file=sys.stderr)

@@ -23,7 +23,8 @@ import numpy as np
 from .embeddings import ClassPartition
 
 
-def _json_float(x: float):
+def json_float(x: float):
+    """``x`` as strict JSON allows it: infinities as strings, NaN as null."""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     if math.isnan(x):
@@ -90,13 +91,13 @@ class CdnvReport:
     def to_json_dict(self) -> dict:
         k = len(self.labels)
         rows = [
-            [None if i == j else _json_float(float(self.matrix[i, j])) for j in range(k)]
+            [None if i == j else json_float(float(self.matrix[i, j])) for j in range(k)]
             for i in range(k)
         ]
         return {
             "labels": list(self.labels),
             "matrix": rows,
-            "average": _json_float(self.average),
+            "average": json_float(self.average),
             "degenerate_pairs": [list(pair) for pair in self.degenerate_pairs],
         }
 
@@ -187,11 +188,11 @@ class GeometryReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "min_mean_distance": _json_float(self.min_mean_distance),
+            "min_mean_distance": json_float(self.min_mean_distance),
             "argmin_pair": list(self.argmin_pair),
             "global_mean": [float(v) for v in self.global_mean],
-            "within_trace": _json_float(self.within_trace),
-            "between_trace": _json_float(self.between_trace),
+            "within_trace": json_float(self.within_trace),
+            "between_trace": json_float(self.between_trace),
         }
 
 

@@ -1,9 +1,13 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nckit.bounds as bounds_mod
 from nckit.bounds import (
     GaussianClassModel,
     Prop1Inputs,
@@ -23,6 +27,7 @@ from nckit.bounds import (
     verify_lemma2_mc,
     verify_prop5_mc,
 )
+from nckit.cli import _BOUNDS
 from nckit.synth import simplex_etf_means
 
 
@@ -377,3 +382,36 @@ class TestVerifyLemma2:
             verify_lemma2_mc(1, 2, trials=500, seed=0)
         with pytest.raises(ValueError, match="trials"):
             verify_lemma2_mc(2, 2, trials=10, seed=0)
+
+
+def _evaluator_params(name):
+    bound = _BOUNDS[name]
+    source = bound.inputs or getattr(bounds_mod, bound.evaluator)
+    return list(inspect.signature(source).parameters.values())
+
+
+@pytest.mark.parametrize(
+    "name,nan_param",
+    [
+        (name, param.name)
+        for name in _BOUNDS
+        for param in _evaluator_params(name)
+        if param.annotation == "float"
+    ],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_nan_in_any_float_argument_raises(name, nan_param, data):
+    # every other argument is arbitrary: NaN alone must make the call fail
+    values = {}
+    for param in _evaluator_params(name):
+        if param.name == nan_param:
+            values[param.name] = math.nan
+        elif param.annotation == "float":
+            values[param.name] = data.draw(st.floats(allow_nan=False), label=param.name)
+        else:
+            values[param.name] = data.draw(st.integers(-2, 100), label=param.name)
+    bound = _BOUNDS[name]
+    evaluator = getattr(bounds_mod, bound.evaluator)
+    with pytest.raises(ValueError):
+        evaluator(bound.inputs(**values)) if bound.inputs else evaluator(**values)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import nckit.bounds as bounds_mod
+import nckit.cli as cli_mod
 from nckit.cli import main
 from nckit.embeddings import load_embeddings, save_embeddings
 from nckit.synth import collapsed_set, simplex_etf_means
@@ -112,6 +113,13 @@ class TestFewshot:
         monkeypatch.setenv("NC_THREADS", "4")
         _, out2, _ = _run(capsys, argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_alpha_is_rejected(self, capsys, collapsed_csv, value):
+        argv = ["fewshot", str(collapsed_csv), "--k", "3", "--n-shot", "1", "--alpha", value]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "argument --alpha" in err
 
     def test_invalid_protocol_is_validation_error(self, capsys, collapsed_csv):
         code, _, err = _run(
@@ -223,6 +231,14 @@ class TestBounds:
         assert code == 3
         assert json.loads(out)["satisfied"] is False
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_is_rejected(self, capsys, value):
+        argv = ["bounds", "lemma1", "--emp-var", value, "--eps1", "0.1", "--eps2", "0.2",
+                "--pop-mean-norm", "3"]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "argument --emp-var" in err
+
     def test_missing_bound_name(self, capsys):
         code, _, err = _run(capsys, ["bounds"])
         assert code == 1
@@ -291,6 +307,22 @@ class TestSynth:
         code, _, err = _run(capsys, ["synth", str(spec_path), "-o", str(out_path)])
         assert code == 1
         assert not out_path.exists()
+
+    def test_failed_save_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"class_means": [[0.0], [4.0]],
+                                         "total_variances": [0.1, 0.1],
+                                         "samples_per_class": 3}))
+
+        def failing_save(embeddings, path, format):
+            Path(path).write_text("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli_mod, "save_embeddings", failing_save)
+        code, out, err = _run(capsys, ["synth", str(spec_path), "-o", str(tmp_path / "mix.csv")])
+        assert code == 2 and out == ""
+        assert "disk full" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 class TestUsage:
