@@ -3,12 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nckit.bounds as bounds_mod
 import nckit.cli as cli_mod
 from nckit.cli import main
-from nckit.embeddings import load_embeddings, save_embeddings
+from nckit.embeddings import LabeledEmbeddings, load_embeddings, save_embeddings
 from nckit.synth import collapsed_set, simplex_etf_means
 
 
@@ -262,6 +263,69 @@ def test_bounds_golden(capsys, case):
     assert code == case["exit"]
     assert out == case["stdout"]
     assert (err.splitlines() or [""])[-1] == case["stderr_last_line"]
+
+
+def _seeded_groups(seed, k, p, max_rows):
+    rng = np.random.default_rng(seed)
+    labels = np.sort(rng.choice(10 * k, size=k, replace=False))
+    means = rng.normal(scale=3.0, size=(k, p))
+    return {
+        int(lab): mean + rng.normal(size=(int(rng.integers(1, max_rows + 1)), p))
+        for lab, mean in zip(labels, means)
+    }
+
+
+def _golden_analyze_inputs():
+    """Named embedding sets whose `nckit analyze` output is pinned."""
+    sets = {"collapsed-etf": collapsed_set(simplex_etf_means(3, 4), 4)}
+    groups = {
+        "oracle": {
+            0: [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]],
+            1: [[5.0, 5.0], [6.0, 4.0]],
+            2: [[-3.0, 2.0], [-4.0, 2.0], [-3.5, 2.5], [-3.0, 1.5]],
+        },
+        "degenerate": {3: [[0.0], [2.0]], 8: [[-1.0], [3.0]], 9: [[9.0], [9.0]]},
+        # pairs (0, 3) and (1, 2) both at distance 1: row 0's nearest is a later column
+        "tie-across-rows": {0: [[-0.5], [0.5]], 1: [[9.5], [10.5]], 2: [[11.0]], 3: [[1.0]]},
+        # classes 0 and 1 collapse onto the same point
+        "coincident-collapsed": {
+            0: [[1.0, 2.0, 3.0]] * 3,
+            1: [[1.0, 2.0, 3.0]] * 2,
+            2: [[0.5, 2.0, 4.0], [1.5, 2.5, 3.0]],
+            5: [[-1.0, 0.0, 0.0], [-2.0, 1.0, 0.5], [-1.5, 0.5, 0.0]],
+        },
+    }
+    for seed, (k, p, max_rows) in enumerate(
+        [(2, 1, 5), (5, 3, 6), (9, 40, 4), (20, 10, 6), (30, 2, 5), (60, 40, 4)]
+    ):
+        groups[f"seeded-k{k}-p{p}"] = _seeded_groups(seed, k, p, max_rows)
+    for name, grp in groups.items():
+        sets[name] = LabeledEmbeddings(
+            labels=np.concatenate([[lab] * len(rows) for lab, rows in grp.items()]),
+            features=np.concatenate([np.asarray(rows, dtype=float) for rows in grp.values()]),
+        )
+    return sets
+
+
+# `nckit analyze` stdout (input path replaced by "<input>"), recorded before the
+# pairwise distances, traces and CCNV were computed without p x p scatter matrices.
+GOLDEN_ANALYZE = json.loads((Path(__file__).parent / "golden_analyze.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYZE))
+def test_analyze_golden(capsys, tmp_path, name):
+    path = tmp_path / "input.csv"
+    save_embeddings(_golden_analyze_inputs()[name], path, format="csv")
+    code, out, _ = _run(capsys, ["analyze", str(path)])
+    assert code == 0
+    got = json.loads(out)
+    want = json.loads(GOLDEN_ANALYZE[name])
+    assert json.dumps(got["cdnv"]) == json.dumps(want["cdnv"])
+    for key in ("argmin_pair", "min_mean_distance", "global_mean"):
+        assert json.dumps(got["geometry"][key]) == json.dumps(want["geometry"][key])
+    assert got["ccnv"] == pytest.approx(want["ccnv"], rel=1e-12, abs=0)
+    for key in ("within_trace", "between_trace"):
+        assert got["geometry"][key] == pytest.approx(want["geometry"][key], rel=1e-14, abs=0)
 
 
 class TestSynth:
