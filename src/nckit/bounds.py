@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import json_float
+from .metrics import json_float, pair_sq_dist_rows, pair_sq_dists
 
 _CHUNK = 4096
 _RELAXED_GAMMA_GRID = tuple(g / 20 for g in range(1, 20))  # 0.05 .. 0.95
@@ -29,8 +29,8 @@ _RELAXED_GAMMA_GRID = tuple(g / 20 for g in range(1, 20))  # 0.05 .. 0.95
 
 def _require_nonnegative(**values: float) -> None:
     for name, value in values.items():
-        if not value >= 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def lemma1_variance_bound(
@@ -68,8 +68,8 @@ class Prop1Inputs:
             mean_norm_i=self.mean_norm_i,
             mean_norm_j=self.mean_norm_j,
         )
-        if not (self.pop_mean_dist > 0 and self.emp_mean_dist > 0):
-            raise ValueError("mean distances must be strictly positive")
+        if not (0 < self.pop_mean_dist < math.inf and 0 < self.emp_mean_dist < math.inf):
+            raise ValueError("mean distances must be finite and strictly positive")
 
 
 def prop1_bound(inputs: Prop1Inputs) -> float:
@@ -104,8 +104,8 @@ class Prop2Inputs:
             sup_feat_norm=self.sup_feat_norm,
             rademacher=self.rademacher,
         )
-        if not self.delta_fstar > 0:
-            raise ValueError("delta_fstar must be strictly positive")
+        if not 0 < self.delta_fstar < math.inf:
+            raise ValueError("delta_fstar must be finite and strictly positive")
         if self.l < 2:
             raise ValueError("l must be at least 2")
         if not 0 < self.delta < 1:
@@ -154,8 +154,8 @@ class ReluBoundInputs:
         for name in ("p", "q", "l", "m_c"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if not self.sup_x_norm > 0:
-            raise ValueError("sup_x_norm must be strictly positive")
+        if not 0 < self.sup_x_norm < math.inf:
+            raise ValueError("sup_x_norm must be finite and strictly positive")
         # M = 0 is admitted so the degenerate zero-complexity class evaluates to 0
         _require_nonnegative(spectral_complexity=self.spectral_complexity, M=self.M)
         if not 0 < self.delta < 1:
@@ -226,8 +226,8 @@ def prop5_gaussian_bound(k: int, p: int, v_max: float) -> float:
         raise ValueError("k must be at least 2")
     if p < 1:
         raise ValueError("p must be a positive integer")
-    if not v_max > 0:
-        raise ValueError("v_max must be strictly positive")
+    if not 0 < v_max < math.inf:
+        raise ValueError("v_max must be finite and strictly positive")
     if v_max > 1.0 / 16.0:
         raise ValueError(f"v_max={v_max} violates the precondition v_max <= 1/16")
     log_value = (
@@ -251,8 +251,8 @@ def prop5_relaxed_bound(k: int, p: int, n_c: int, v_max: float, gamma: float) ->
         raise ValueError("p and n_c must be positive integers")
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    if not v_max > 0:
-        raise ValueError("v_max must be strictly positive")
+    if not 0 < v_max < math.inf:
+        raise ValueError("v_max must be finite and strictly positive")
     threshold = gamma**2 * n_c / 4.0
     if v_max > threshold:
         raise ValueError(
@@ -304,15 +304,15 @@ class GaussianClassModel:
             raise ValueError("means must be a (k, p) array with k >= 2")
         if variances.shape != (means.shape[0],):
             raise ValueError("total_variances must hold one value per class")
-        if not (variances > 0).all():
-            raise ValueError("total variances must be strictly positive")
+        if not ((variances > 0) & np.isfinite(variances)).all():
+            raise ValueError("total variances must be finite and strictly positive")
         if not np.isfinite(means).all():
             raise ValueError("means must be finite")
         means.setflags(write=False)
         variances.setflags(write=False)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "total_variances", variances)
-        if self._pair_sq_dists().min() == 0.0:
+        if pair_sq_dists(means)[2].min() == 0.0:
             raise ValueError("degenerate model: coincident class means")
 
     @property
@@ -323,32 +323,25 @@ class GaussianClassModel:
     def p(self) -> int:
         return self.means.shape[1]
 
-    def _pair_sq_dists(self) -> np.ndarray:
-        diff = self.means[:, None, :] - self.means[None, :, :]
-        sq = np.square(diff).sum(axis=2)
-        i, j = np.triu_indices(self.means.shape[0], k=1)
-        return sq[i, j]
-
     def avg_cdnv(self) -> float:
         """Population collapse value averaged over all class pairs."""
-        i, j = np.triu_indices(self.k, k=1)
-        sq = self._pair_sq_dists()
-        pair_vals = (self.total_variances[i] + self.total_variances[j]) / (2.0 * sq)
-        return float(pair_vals.mean())
+        i, j, sq = pair_sq_dists(self.means)
+        v = self.total_variances
+        return float(((v[i] + v[j]) / (2.0 * sq)).mean())
 
     def v_max(self) -> float:
-        """Worst ordered-pair ratio Var(P_i) / ||mu_i - mu_j||^2."""
-        diff = self.means[:, None, :] - self.means[None, :, :]
-        sq = np.square(diff).sum(axis=2)
-        np.fill_diagonal(sq, np.inf)
-        return float((self.total_variances[:, None] / sq).max())
+        """Worst ordered-pair ratio Var(P_i) / ||mu_i - mu_j||^2, taken over
+        unordered pairs as max(Var(P_i), Var(P_j)) / ||mu_i - mu_j||^2."""
+        i, j, sq = pair_sq_dists(self.means)
+        v = self.total_variances
+        return float((np.maximum(v[i], v[j]) / sq).max())
 
     def is_equal_variance(self, rel_tol: float = 1e-9) -> bool:
         v = self.total_variances
         return bool(np.max(v) - np.min(v) <= rel_tol * np.max(v))
 
     def is_equidistant(self, rel_tol: float = 1e-9) -> bool:
-        d = self._pair_sq_dists()
+        d = pair_sq_dists(self.means)[2]
         return bool(np.max(d) - np.min(d) <= rel_tol * np.max(d))
 
 
@@ -407,12 +400,9 @@ class BoundCheckReport:
 
 
 def _chunked(trials: int):
-    start = 0
-    chunk_index = 0
-    while start < trials:
-        yield chunk_index, min(_CHUNK, trials - start)
-        start += _CHUNK
-        chunk_index += 1
+    """Index, first trial and size of each fixed-size chunk of trials."""
+    for chunk_index, start in enumerate(range(0, trials, _CHUNK)):
+        yield chunk_index, start, min(_CHUNK, trials - start)
 
 
 def verify_prop5_mc(
@@ -436,7 +426,7 @@ def verify_prop5_mc(
     k, p = model.k, model.p
     coord_std = np.sqrt(model.total_variances / p)
     errors = 0
-    for chunk_index, size in _chunked(trials):
+    for chunk_index, _, size in _chunked(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
         support = rng.standard_normal((size, k, n_c, p))
         support *= coord_std[None, :, None, None]
@@ -484,18 +474,14 @@ def verify_lemma2_mc(n: int, p: int, trials: int, seed: int) -> BoundCheckReport
     if trials < 100:
         raise ValueError("trials must be at least 100")
     bound = lemma2_lower_bound(n, p)
-    mins = np.empty(trials)
-    offset = 0
-    for chunk_index, size in _chunked(trials):
+    sq_mins = np.full(trials, np.inf)
+    for chunk_index, start, size in _chunked(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
         points = rng.uniform(size=(size, n, p))
-        best = np.full(size, np.inf)
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist = np.linalg.norm(points[:, i, :] - points[:, j, :], axis=1)
-                np.minimum(best, dist, out=best)
-        mins[offset : offset + size] = best
-        offset += size
+        best = sq_mins[start : start + size]
+        for sq in pair_sq_dist_rows(points):
+            np.minimum(best, sq.min(axis=-1), out=best)
+    mins = np.sqrt(sq_mins)
 
     estimate = float(mins.mean())
     std_error = float(mins.std(ddof=1) / math.sqrt(trials))

@@ -52,7 +52,11 @@ class LabeledEmbeddings:
     features: np.ndarray
 
     def __post_init__(self):
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        raw = np.asarray(self.labels)
+        # checked before the int64 cast, which would truncate or warn
+        if raw.dtype.kind == "f" and not ((raw == np.floor(raw)) & (abs(raw) < 2.0**63)).all():
+            raise ValueError("class labels must be integers")
+        labels = np.ascontiguousarray(raw, dtype=np.int64)
         features = np.ascontiguousarray(self.features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D array of shape (rows, dim)")
@@ -159,6 +163,13 @@ def _load_csv(path) -> LabeledEmbeddings:
         text = fh.read()
     if text == "":
         raise FormatError("empty file")
+    carriage_return = text.find("\r")
+    if carriage_return >= 0:
+        line = text.count("\n", 0, carriage_return)  # line 0 is the header
+        message = "carriage return; the format uses '\\n' line endings"
+        if line == 0:
+            raise FormatError(f"header: {message}")
+        raise FormatError(message, row=line - 1)
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -184,6 +195,8 @@ def _load_csv(path) -> LabeledEmbeddings:
             raise FormatError(f"malformed label {tokens[0]!r}", row=row) from None
         if label < 0:
             raise FormatError(f"negative label {label}", row=row)
+        if label >= 2**63:
+            raise FormatError(f"label {label} exceeds the int64 range", row=row)
         try:
             values = [float(tok) for tok in tokens[1:]]
         except ValueError:

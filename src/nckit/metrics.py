@@ -89,17 +89,43 @@ class CdnvReport:
     degenerate_pairs: tuple[tuple[int, int], ...]
 
     def to_json_dict(self) -> dict:
-        k = len(self.labels)
-        rows = [
-            [None if i == j else json_float(float(self.matrix[i, j])) for j in range(k)]
-            for i in range(k)
-        ]
         return {
             "labels": list(self.labels),
-            "matrix": rows,
+            # json_float writes the NaN diagonal as null
+            "matrix": [[json_float(v) for v in row] for row in self.matrix.tolist()],
             "average": json_float(self.average),
             "degenerate_pairs": [list(pair) for pair in self.degenerate_pairs],
         }
+
+
+def pair_sq_dist_rows(points):
+    """Squared distances over the upper triangle of row pairs, one row at a time.
+
+    For each row i of ``points`` (shape (..., n, p), leading axes are batch
+    axes) yields the (..., n - i - 1) squared distances to rows i+1..n-1.
+    The explicit difference form avoids the cancellation of the Gram
+    shortcut ||a||^2 + ||b||^2 - 2 a.b.
+    """
+    for i in range(points.shape[-2] - 1):
+        diff = points[..., i + 1 :, :] - points[..., i : i + 1, :]
+        yield np.square(diff, out=diff).sum(axis=-1)
+        del diff  # free this row block before the next one is allocated
+
+
+def pair_sq_dists(points):
+    """Row indices (i, j) of every pair i < j of an (n, p) array in row-major
+    order, with the pairs' squared distances."""
+    i, j = np.triu_indices(points.shape[0], 1)
+    return i, j, np.concatenate(list(pair_sq_dist_rows(points)))
+
+
+def _class_moments(partition: ClassPartition):
+    """Class means (K, p), total variances and counts in ascending label order."""
+    stats = [class_stats(partition.groups[lab]) for lab in partition.class_ids]
+    means = np.stack([st.mean for st in stats])
+    variances = np.array([st.variance for st in stats])
+    counts = np.array([st.count for st in stats])
+    return means, variances, counts
 
 
 def cdnv_matrix(partition: ClassPartition) -> CdnvReport:
@@ -108,25 +134,20 @@ def cdnv_matrix(partition: ClassPartition) -> CdnvReport:
     k = len(labels)
     if k < 2:
         raise ValueError("cdnv_matrix needs at least 2 classes")
-    stats = [class_stats(partition.groups[lab]) for lab in labels]
+    means, variances, _ = _class_moments(partition)
+    i, j, sq = pair_sq_dists(means)
+    # coincident means give +inf, also for two zero-variance classes (not 0/0)
+    values = np.full_like(sq, np.inf)
+    np.divide(variances[i] + variances[j], 2.0 * sq, out=values, where=sq > 0)
     matrix = np.full((k, k), np.nan)
-    degenerate = []
-    off_diag = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            value = cdnv_pair(stats[i], stats[j])
-            matrix[i, j] = matrix[j, i] = value
-            if math.isinf(value):
-                degenerate.append((labels[i], labels[j]))
-            else:
-                off_diag.append(value)
-    average = math.inf if degenerate else float(np.mean(off_diag))
+    matrix[i, j] = matrix[j, i] = values
     matrix.setflags(write=False)
+    degenerate = np.flatnonzero(np.isinf(values))
     return CdnvReport(
         labels=labels,
         matrix=matrix,
-        average=average,
-        degenerate_pairs=tuple(degenerate),
+        average=math.inf if degenerate.size else float(np.mean(values)),
+        degenerate_pairs=tuple((labels[i[n]], labels[j[n]]) for n in degenerate),
     )
 
 
@@ -150,30 +171,26 @@ def pseudo_inverse(matrix, rel_tol: float | None = None) -> np.ndarray:
     return (vt.T * inv_s) @ u.T
 
 
-def _scatter(partition: ClassPartition):
-    """Class means, their global mean, and the within/between covariances."""
-    labels = partition.class_ids
-    dim = partition.dim
-    class_means = np.stack([partition.groups[lab].mean(axis=0) for lab in labels])
-    global_mean = class_means.mean(axis=0)
-    total = partition.total_rows
-    sigma_w = np.zeros((dim, dim))
-    for lab, mean in zip(labels, class_means):
-        centered = partition.groups[lab] - mean
-        sigma_w += centered.T @ centered
-    sigma_w /= total
-    centered_means = class_means - global_mean
-    sigma_b = centered_means.T @ centered_means / len(labels)
-    return class_means, global_mean, sigma_w, sigma_b
-
-
 def ccnv(partition: ClassPartition) -> float:
     """Within-class covariance traced against the pseudoinverse of the
-    between-class covariance: Tr(Sigma_W @ pinv(Sigma_B))."""
+    between-class covariance: Tr(Sigma_W @ pinv(Sigma_B)).
+
+    With the thin SVD C = U S V^T of the K x p centered class means,
+    pinv(Sigma_B) = K sum_i v_i v_i^T / s_i^2, so the trace is
+    K sum_i ||X_c v_i||^2 / (N s_i^2) over the within-class deviations
+    X_c. Directions follow ``pseudo_inverse``'s rank rule on Sigma_B
+    (s_i^2 > p * eps * s_0^2); no p x p matrix is formed.
+    """
     if partition.n_classes < 2:
         raise ValueError("ccnv needs at least 2 classes")
-    _, _, sigma_w, sigma_b = _scatter(partition)
-    return float(np.trace(sigma_w @ pseudo_inverse(sigma_b)))
+    means, _, _ = _class_moments(partition)
+    _, s, vt = np.linalg.svd(means - means.mean(axis=0), full_matrices=False)
+    keep = np.square(s) > partition.dim * np.finfo(np.float64).eps * s[0] ** 2
+    basis = vt[keep].T
+    projected = np.zeros(basis.shape[1])
+    for lab, mean in zip(partition.class_ids, means):
+        projected += np.square((partition.groups[lab] - mean) @ basis).sum(axis=0)
+    return float(len(means) * (projected / np.square(s[keep])).sum() / partition.total_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,26 +216,20 @@ class GeometryReport:
 def geometry(partition: ClassPartition) -> GeometryReport:
     """Minimum pairwise class-mean distance with its achieving pair.
 
-    Ties are broken toward the lexicographically smallest (id, id) pair,
-    which falls out of scanning pairs in ascending label order with a
-    strict improvement test.
+    Ties are broken toward the lexicographically smallest (id, id) pair:
+    pairs are listed in row-major order and ``argmin`` takes the first.
     """
     labels = partition.class_ids
     if len(labels) < 2:
         raise ValueError("geometry needs at least 2 classes")
-    class_means, global_mean, sigma_w, sigma_b = _scatter(partition)
-    best = math.inf
-    best_pair = (labels[0], labels[1])
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            dist = float(np.linalg.norm(class_means[i] - class_means[j]))
-            if dist < best:
-                best = dist
-                best_pair = (labels[i], labels[j])
+    means, variances, counts = _class_moments(partition)
+    i, j, sq = pair_sq_dists(means)
+    best = int(np.argmin(sq))
+    global_mean = means.mean(axis=0)
     return GeometryReport(
-        min_mean_distance=best,
-        argmin_pair=best_pair,
+        min_mean_distance=float(np.linalg.norm(means[i[best]] - means[j[best]])),
+        argmin_pair=(labels[i[best]], labels[j[best]]),
         global_mean=global_mean,
-        within_trace=float(np.trace(sigma_w)),
-        between_trace=float(np.trace(sigma_b)),
+        within_trace=float((counts * variances).sum() / partition.total_rows),
+        between_trace=float(np.square(means - global_mean).sum(axis=1).mean()),
     )

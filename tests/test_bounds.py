@@ -274,6 +274,8 @@ class TestGaussianClassModel:
             GaussianClassModel(
                 means=np.array([[0.0], [1.0]]), total_variances=np.array([1.0, 0.0])
             )
+        with pytest.raises(ValueError, match="finite"):
+            GaussianClassModel(means=np.eye(2), total_variances=[math.inf, 1.0])
 
     def test_v_max_over_ordered_pairs(self):
         model = GaussianClassModel(
@@ -281,6 +283,21 @@ class TestGaussianClassModel:
         )
         assert model.v_max() == pytest.approx(0.1, rel=1e-12)
         assert model.avg_cdnv() == pytest.approx((0.1 + 0.01) / 2.0, rel=1e-12)
+
+    def test_unequal_variances_match_ordered_pair_loop(self):
+        rng = np.random.default_rng(21)
+        means = rng.normal(size=(7, 3))
+        variances = rng.uniform(0.01, 2.0, size=7)
+        model = GaussianClassModel(means=means, total_variances=variances)
+        ratios, cdnvs = [], []
+        for i in range(7):
+            for j in range(7):
+                if i != j:
+                    sq = sum((a - b) ** 2 for a, b in zip(means[i], means[j]))
+                    ratios.append(variances[i] / sq)
+                    cdnvs.append((variances[i] + variances[j]) / (2.0 * sq))
+        assert model.v_max() == pytest.approx(max(ratios), rel=1e-12)
+        assert model.avg_cdnv() == pytest.approx(sum(cdnvs) / len(cdnvs), rel=1e-12)
 
 
 class TestProp5Menu:
@@ -390,25 +407,32 @@ def _evaluator_params(name):
     return list(inspect.signature(source).parameters.values())
 
 
+_FLOAT_PARAMS = [
+    (name, param.name)
+    for name in _BOUNDS
+    for param in _evaluator_params(name)
+    if param.annotation == "float"
+]
+
+
 @pytest.mark.parametrize(
-    "name,nan_param",
-    [
-        (name, param.name)
-        for name in _BOUNDS
-        for param in _evaluator_params(name)
-        if param.annotation == "float"
-    ],
+    "name,bad_param,bad",
+    [(name, param, math.nan) for name, param in _FLOAT_PARAMS]
+    + [(name, param, math.inf) for name, param in _FLOAT_PARAMS],
+    ids=[f"{name}-{param}" for name, param in _FLOAT_PARAMS]
+    + [f"{name}-{param}-inf" for name, param in _FLOAT_PARAMS],
 )
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_nan_in_any_float_argument_raises(name, nan_param, data):
-    # every other argument is arbitrary: NaN alone must make the call fail
+def test_nan_in_any_float_argument_raises(name, bad_param, bad, data):
+    # every other argument is finite but arbitrary: NaN or inf alone must make the call fail
     values = {}
     for param in _evaluator_params(name):
-        if param.name == nan_param:
-            values[param.name] = math.nan
+        if param.name == bad_param:
+            values[param.name] = bad
         elif param.annotation == "float":
-            values[param.name] = data.draw(st.floats(allow_nan=False), label=param.name)
+            finite = st.floats(allow_nan=False, allow_infinity=False)
+            values[param.name] = data.draw(finite, label=param.name)
         else:
             values[param.name] = data.draw(st.integers(-2, 100), label=param.name)
     bound = _BOUNDS[name]

@@ -30,6 +30,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="row 1"):
             LabeledEmbeddings(labels=[0, 1], features=[[1.0], [np.nan]])
 
+    @pytest.mark.parametrize("label", [1.7, np.nan, np.inf, 2.0**63])
+    def test_rejects_non_integral_float_labels(self, label):
+        with pytest.raises(ValueError, match="integers"):
+            LabeledEmbeddings(labels=[label, 0.0], features=[[1.0], [2.0]])
+
+    def test_accepts_integral_float_labels(self):
+        emb = LabeledEmbeddings(labels=[2.0, 0.0], features=[[1.0], [2.0]])
+        np.testing.assert_array_equal(emb.labels, [2, 0])
+
     def test_rejects_zero_dim(self):
         with pytest.raises(ValueError):
             LabeledEmbeddings(labels=[0], features=np.empty((1, 0)))
@@ -85,6 +94,23 @@ class TestCsvFormat:
         path = tmp_path / "lbl.csv"
         path.write_text("label,f0\n1.5,1.0\n")
         with pytest.raises(FormatError, match="row 0"):
+            load_embeddings(path, format="csv")
+
+    def test_label_beyond_int64_reports_row(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("label,f0\n0,0.5\n99999999999999999999,1.5\n")
+        with pytest.raises(FormatError, match="row 1: label 99999999999999999999"):
+            load_embeddings(path, format="csv")
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [("label,f0\r\n0,0.5\r\n", "header"), ("label,f0\n0,0.5\n1, 0.5\r\n", "row 1")],
+        ids=["header", "data-row"],
+    )
+    def test_carriage_return_is_rejected(self, tmp_path, text, where):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(FormatError, match=f"{where}: carriage return"):
             load_embeddings(path, format="csv")
 
     def test_round_trip_is_exact(self, tmp_path):

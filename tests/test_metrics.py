@@ -124,6 +124,14 @@ class TestCdnvMatrix:
         with pytest.raises(ValueError, match="2 classes"):
             cdnv_matrix(_partition({0: [[1.0]]}))
 
+    def test_coincident_zero_variance_classes_are_degenerate(self):
+        # 0 / 0: the pair is infinite like any coincident pair, never NaN
+        part = _partition({0: [[1.0, 2.0]] * 3, 1: [[1.0, 2.0]] * 2, 2: [[0.0, 0.0], [1.0, 1.0]]})
+        report = cdnv_matrix(part)
+        assert report.matrix[0, 1] == report.matrix[1, 0] == math.inf
+        assert report.degenerate_pairs == ((0, 1),)
+        assert report.average == math.inf
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(33)
         for _ in range(30):
@@ -191,6 +199,20 @@ class TestCcnv:
         groups = {c: (rng.normal(size=(12, 5)) + rng.normal(size=5)).tolist() for c in range(4)}
         assert ccnv(_partition(groups)) == pytest.approx(naive_ccnv(groups), rel=1e-9)
 
+    def test_collinear_means_match_naive_oracle(self):
+        # four class means on one line in p = 4: Sigma_B has rank 1
+        rng = np.random.default_rng(58)
+        direction = rng.normal(size=4)
+        groups = {
+            c: (rng.normal(size=(9, 4)) + (c - 1.5) * direction).tolist() for c in range(4)
+        }
+        assert ccnv(_partition(groups)) == pytest.approx(naive_ccnv(groups), rel=1e-9)
+
+    def test_coincident_means_give_zero(self):
+        part = _partition({0: [[-1.0, 0.0], [1.0, 0.0]], 1: [[0.0, -2.0], [0.0, 2.0]]})
+        assert ccnv(part) == 0.0
+        assert geometry(part).min_mean_distance == 0.0
+
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
             ccnv(_partition({0: [[1.0]]}))
@@ -222,6 +244,13 @@ class TestGeometry:
         # classes 0-1 and 2-3 both at distance 1
         part = _partition({0: [[0.0]], 1: [[1.0]], 2: [[10.0]], 3: [[11.0]]})
         assert geometry(part).argmin_pair == (0, 1)
+
+    def test_tie_across_rows_keeps_first_row(self):
+        # pairs (0, 3) and (1, 2) both at distance 1: row 0's nearest is the later column
+        part = _partition({0: [[0.0]], 1: [[10.0]], 2: [[11.0]], 3: [[1.0]]})
+        report = geometry(part)
+        assert report.argmin_pair == (0, 3)
+        assert report.min_mean_distance == 1.0
 
     def test_traces_and_global_mean(self):
         part = _partition({0: [[-1.0], [1.0]], 1: [[3.0], [5.0]]})
