@@ -328,6 +328,52 @@ def test_analyze_golden(capsys, tmp_path, name):
         assert got["geometry"][key] == pytest.approx(want["geometry"][key], rel=1e-14, abs=0)
 
 
+def _interleaved_set(seed, k, p, min_rows, max_rows, spread):
+    """Seeded classes with non-contiguous ids and unequal sizes, rows shuffled
+    so that the labels interleave and each class's row order is the file's."""
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(7 * k, size=k, replace=False))
+    means = rng.normal(scale=spread, size=(k, p))
+    sizes = rng.integers(min_rows, max_rows + 1, size=k)
+    labels = np.repeat(ids, sizes)
+    features = np.repeat(means, sizes, axis=0) + rng.normal(size=(labels.size, p))
+    order = rng.permutation(labels.size)
+    return LabeledEmbeddings(labels=labels[order], features=features[order])
+
+
+def _golden_fewshot_cases():
+    """Named (embedding set, fewshot flags) pairs whose stdout is pinned."""
+    # support n = 4 * 3 = 12 < p = 40; classes of 6..14 rows, some too small for 8
+    wide = _interleaved_set(101, 12, 40, 6, 14, 0.35)
+    # support n = 5 * 8 = 40 > p = 5; classes of 12..40 rows, some too small for 18
+    tall = _interleaved_set(202, 12, 5, 12, 40, 0.6)
+    wide_flags = ["--k", "4", "--n-shot", "3", "--n-query", "5", "--episodes", "60"]
+    tall_flags = ["--k", "5", "--n-shot", "8", "--n-query", "10", "--episodes", "50"]
+    return {
+        "wide-ridge-plus": (wide, wide_flags + ["--seed", "5"]),
+        "wide-ridge-minus": (wide, wide_flags + ["--lambda-exponent", "-0.5", "--alpha", "0.3"]),
+        "wide-ncm": (wide, wide_flags + ["--head", "ncm", "--seed", "6"]),
+        "tall-ridge-plus": (tall, tall_flags + ["--alpha", "2.0", "--seed", "7"]),
+        "tall-ridge-minus": (tall, tall_flags + ["--lambda-exponent", "-0.5", "--seed", "8"]),
+        "tall-ncm": (tall, tall_flags + ["--head", "ncm"]),
+    }
+
+
+# `nckit fewshot` stdout, run from the input's directory, recorded before the
+# ridge fit became one solve and the partition one stable gather.
+GOLDEN_FEWSHOT = json.loads((Path(__file__).parent / "golden_fewshot.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FEWSHOT))
+def test_fewshot_golden(capsys, tmp_path, monkeypatch, name):
+    embeddings, flags = _golden_fewshot_cases()[name]
+    save_embeddings(embeddings, tmp_path / "input.csv", format="csv")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run(capsys, ["fewshot", "input.csv", *flags])
+    assert code == 0
+    assert out == GOLDEN_FEWSHOT[name]
+
+
 class TestSynth:
     def test_generates_loadable_file(self, capsys, tmp_path):
         spec = {
