@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +67,9 @@ def _infer_format(path: str, flag: str | None) -> str:
 def _atomic_path(path: str):
     """Yield a temporary path beside ``path``: moved to ``path`` on success, deleted on failure."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nckit-tmp-")
-    os.close(fd)
+    tmp = os.path.join(directory, ".nckit-tmp-" + os.urandom(8).hex())
+    # O_EXCL never reuses or follows an existing path; 0o666 under the umask, as open() does
+    os.close(os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
     try:
         yield tmp
         os.replace(tmp, path)

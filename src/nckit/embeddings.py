@@ -147,10 +147,11 @@ class ClassPartition:
 
 def partition_by_class(embeddings: LabeledEmbeddings) -> ClassPartition:
     """Group every feature row under its label, preserving row order."""
-    labels = embeddings.labels
-    uniq, first = np.unique(labels, return_index=True)
-    appearance = tuple(int(lab) for lab in uniq[np.argsort(first)])
-    groups = {int(lab): embeddings.features[labels == lab] for lab in uniq}
+    order = np.argsort(embeddings.labels, kind="stable")  # keeps row order within a class
+    labels = embeddings.labels[order]
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))  # labels >= 0: row 0 starts a class
+    appearance = tuple(int(lab) for lab in labels[starts][np.argsort(order[starts])])
+    groups = dict(zip(labels[starts].tolist(), np.split(embeddings.features[order], starts[1:])))
     return ClassPartition(dim=embeddings.dim, groups=groups, appearance=appearance)
 
 

@@ -7,8 +7,8 @@ provided, both closed-form over frozen features:
 
 * ridge: one-hot multiclass ridge regression,
   W = (F^T F + lambda I)^-1 F^T Y with lambda = alpha * n^(+1/2) by
-  default (the exponent may be flipped to -1/2), solved by Cholesky
-  factorization of the regularized Gram matrix.
+  default (the exponent may be flipped to -1/2), found by one direct
+  solve of the regularized normal equations.
 * ncm: nearest class mean over the support means.
 
 All randomness is derived from (seed, episode_index), so evaluation is
@@ -116,8 +116,8 @@ class RidgeModel:
 def ridge_solve(features, targets, lam: float) -> np.ndarray:
     """Solve the regularized normal equations (F^T F + lam I) W = F^T T.
 
-    The symmetric positive-definite system (lam > 0) is solved through a
-    Cholesky factorization, never by forming an explicit inverse.
+    The symmetric positive-definite system (lam > 0) is solved directly
+    with one LU factorization, never by forming an explicit inverse.
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -126,8 +126,7 @@ def ridge_solve(features, targets, lam: float) -> np.ndarray:
     if features.ndim != 2 or targets.ndim != 2 or features.shape[0] != targets.shape[0]:
         raise ValueError("features and targets must be 2-D with matching row counts")
     gram = features.T @ features + lam * np.eye(features.shape[1])
-    chol = np.linalg.cholesky(gram)
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, features.T @ targets))
+    return np.linalg.solve(gram, features.T @ targets)
 
 
 def ridge_fit(episode: Episode, alpha: float, lambda_exponent: float = 0.5) -> RidgeModel:
@@ -145,9 +144,7 @@ def ridge_fit(episode: Episode, alpha: float, lambda_exponent: float = 0.5) -> R
     n = k * n_shot
     lam = alpha * n**lambda_exponent
     features = episode.support.reshape(n, p)
-    onehot = np.zeros((n, k))
-    for c in range(k):
-        onehot[c * n_shot : (c + 1) * n_shot, c] = 1.0
+    onehot = np.repeat(np.eye(k), n_shot, axis=0)
     weights = ridge_solve(features, onehot, lam)
     weights.setflags(write=False)
     return RidgeModel(weights=weights, lam=float(lam), alpha=alpha, class_ids=episode.class_ids)

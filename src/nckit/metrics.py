@@ -16,11 +16,14 @@ the mean of the class means.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import ClassPartition
+
+_MOMENTS = weakref.WeakKeyDictionary()  # partition -> its class moments, while it lives
 
 
 def json_float(x: float):
@@ -120,12 +123,16 @@ def pair_sq_dists(points):
 
 
 def _class_moments(partition: ClassPartition):
-    """Class means (K, p), total variances and counts in ascending label order."""
-    stats = [class_stats(partition.groups[lab]) for lab in partition.class_ids]
-    means = np.stack([st.mean for st in stats])
-    variances = np.array([st.variance for st in stats])
-    counts = np.array([st.count for st in stats])
-    return means, variances, counts
+    """Read-only class means (K, p), variances and counts in label order, once per partition."""
+    if partition not in _MOMENTS:
+        stats = [class_stats(partition.groups[lab]) for lab in partition.class_ids]
+        means = np.stack([st.mean for st in stats])
+        variances = np.array([st.variance for st in stats])
+        counts = np.array([st.count for st in stats])
+        for array in (means, variances, counts):
+            array.setflags(write=False)
+        _MOMENTS[partition] = means, variances, counts
+    return _MOMENTS[partition]
 
 
 def cdnv_matrix(partition: ClassPartition) -> CdnvReport:

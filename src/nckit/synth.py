@@ -14,6 +14,15 @@ import numpy as np
 from .embeddings import LabeledEmbeddings
 
 
+def _integer(name: str, value) -> int:
+    """A spec integer: integral numbers pass (10.0 too), bools, strings and 2.7 do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class MixtureSpec:
     """Spherical Gaussian mixture: one class per mean, with per-class
@@ -57,8 +66,8 @@ class MixtureSpec:
         try:
             means = doc["class_means"]
             variances = doc["total_variances"]
-            samples = int(doc["samples_per_class"])
-            seed = int(doc.get("seed", 0))
+            samples = _integer("samples_per_class", doc["samples_per_class"])
+            seed = _integer("seed", doc.get("seed", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid mixture spec document: {exc}") from exc
         spec = cls(
@@ -67,7 +76,7 @@ class MixtureSpec:
             samples_per_class=samples,
             seed=seed,
         )
-        if "p" in doc and int(doc["p"]) != spec.p:
+        if "p" in doc and _integer("p", doc["p"]) != spec.p:
             raise ValueError(f"declared p={doc['p']} but class_means have dimension {spec.p}")
         return spec
 

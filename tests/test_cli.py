@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 import nckit.bounds as bounds_mod
 import nckit.cli as cli_mod
+import nckit.metrics as metrics_mod
 from nckit.cli import main
 from nckit.embeddings import LabeledEmbeddings, load_embeddings, save_embeddings
 from nckit.synth import collapsed_set, simplex_etf_means
@@ -62,6 +65,17 @@ class TestAnalyze:
         code, _, _ = _run(capsys, ["analyze", str(bad), "-o", str(out_path)])
         assert code == 1
         assert not out_path.exists()
+
+    def test_one_class_moments_pass(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        class_stats = metrics_mod.class_stats
+        counted = lambda pts: calls.append(1) or class_stats(pts)  # noqa: E731
+        monkeypatch.setattr(metrics_mod, "class_stats", counted)
+        path = tmp_path / "seeded.csv"
+        save_embeddings(_interleaved_set(31, 17, 3, 2, 6, 1.0), path, format="csv")
+        code, _, _ = _run(capsys, ["analyze", str(path)])
+        assert code == 0
+        assert len(calls) == 17
 
     def test_unknown_extension_needs_format_flag(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["analyze", str(tmp_path / "data.dat")])
@@ -433,6 +447,46 @@ class TestSynth:
         assert code == 2 and out == ""
         assert "disk full" in err
         assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("samples_per_class", 2.7), ("samples_per_class", True), ("seed", 1.9), ("p", 1.5)],
+    )
+    def test_fractional_spec_integer_writes_no_file(self, capsys, tmp_path, field, value):
+        spec = {"p": 1, "class_means": [[0.0], [4.0]], "total_variances": [0.1, 0.1],
+                "samples_per_class": 3, field: value}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out, err = _run(capsys, ["synth", str(spec_path), "-o", str(tmp_path / "mix.csv")])
+        assert code == 1 and out == ""
+        assert f"{field} must be an integer" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+@pytest.mark.parametrize("command", ["bounds", "synth"])
+def test_output_files_follow_the_umask(capsys, tmp_path, command):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"class_means": [[0.0], [4.0]],
+                                     "total_variances": [0.1, 0.1],
+                                     "samples_per_class": 3}))
+    out_path = tmp_path / ("out.json" if command == "bounds" else "mix.csv")
+    argv = {
+        "bounds": ["bounds", "lemma2", "--n", "2", "--p", "2", "-o", str(out_path)],
+        "synth": ["synth", str(spec_path), "-o", str(out_path)],
+    }[command]
+    old = os.umask(0o022)
+    try:
+        assert _run(capsys, argv)[0] == 0
+        assert stat.S_IMODE(out_path.stat().st_mode) == 0o644
+        out_path.chmod(0o640)  # an existing file is replaced by a new one
+        assert _run(capsys, argv)[0] == 0
+        assert stat.S_IMODE(out_path.stat().st_mode) == 0o644
+        os.umask(0o077)
+        assert _run(capsys, argv)[0] == 0
+        assert stat.S_IMODE(out_path.stat().st_mode) == 0o600
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["spec.json", out_path.name])
 
 
 class TestUsage:

@@ -235,3 +235,15 @@ class TestPartition:
         part = partition_by_class(emb)
         assert part.appearance == (7, 2, 0)
         assert part.class_ids == (0, 2, 7)
+
+    @pytest.mark.parametrize("ids", [(0, 1, 2, 3), (4, 19, 20, 1000003), (9,)])
+    def test_blocks_match_masked_rows(self, ids):
+        rng = np.random.default_rng(len(ids) + ids[-1])
+        for rows in (1, 7, 300):
+            emb = _random_set(rng, rows=rows, dim=5, labels=ids)
+            part = partition_by_class(emb)
+            present = np.unique(emb.labels)
+            assert part.class_ids == tuple(present)
+            for c in present:
+                # the per-class mask is the oracle for content and row order
+                assert np.array_equal(part.groups[int(c)], emb.features[emb.labels == c])

@@ -103,6 +103,17 @@ class TestRidge:
             residual -= features.T @ onehot
             assert np.abs(residual).max() <= 1e-8
 
+    def test_one_solve_and_no_cholesky(self, monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        rng = np.random.default_rng(9)
+        cfg = EpisodeConfig(k=3, n_shot=2, n_query=1, episodes=1, seed=0)
+        ep = sample_episode(_random_partition(rng, dim=7), cfg, 0)
+        ridge_fit(ep, alpha=1.0)
+        assert solves == [(7, 7)]
+
     def test_lambda_uses_configured_exponent(self):
         rng = np.random.default_rng(9)
         part = _random_partition(rng)

@@ -1,9 +1,12 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import nckit.metrics as metrics_mod
 from nckit.embeddings import ClassPartition
 from nckit.metrics import (
     ccnv,
@@ -261,3 +264,29 @@ class TestGeometry:
         doc = report.to_json_dict()
         assert doc["argmin_pair"] == [0, 1]
         json.dumps(doc)
+
+
+class TestClassMoments:
+    def test_metrics_share_one_pass_of_read_only_moments(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            metrics_mod, "class_stats", lambda pts: calls.append(1) or class_stats(pts)
+        )
+        rng = np.random.default_rng(41)
+        part = _partition({c: rng.normal(size=(4, 3)) for c in (2, 5, 11)})
+        cdnv_matrix(part), geometry(part), ccnv(part)
+        assert len(calls) == 3
+        means, variances, counts = metrics_mod._class_moments(part)
+        assert not (means.flags.writeable or variances.flags.writeable or counts.flags.writeable)
+        # another partition with the same rows gets its own pass
+        cdnv_matrix(_partition(dict(part.groups)))
+        assert len(calls) == 6
+
+    def test_partition_is_collected_after_the_caller_drops_it(self):
+        rng = np.random.default_rng(42)
+        part = _partition({c: rng.normal(size=(5, 2)) for c in range(4)})
+        cdnv_matrix(part), geometry(part), ccnv(part)
+        ref = weakref.ref(part)
+        del part
+        gc.collect()
+        assert ref() is None

@@ -104,6 +104,33 @@ class TestGaussianMixture:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("samples_per_class", 2.7),
+            ("samples_per_class", True),
+            ("samples_per_class", "10"),
+            ("seed", 1.9),
+            ("seed", False),
+            ("p", 1.5),
+            ("p", "2"),
+            ("p", float("nan")),
+        ],
+    )
+    def test_spec_integers_are_not_truncated(self, field, value):
+        doc = {"p": 2, "class_means": [[0.0, 1.0]], "total_variances": [1.0],
+               "samples_per_class": 3, "seed": 4, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            MixtureSpec.from_json_dict(doc)
+
+    def test_spec_accepts_integral_floats(self):
+        spec = MixtureSpec.from_json_dict(
+            {"p": 1.0, "class_means": [[0.0]], "total_variances": [1.0],
+             "samples_per_class": 10.0, "seed": 3.0}
+        )
+        assert (spec.samples_per_class, spec.seed, spec.p) == (10, 3, 1)
+        assert type(spec.samples_per_class) is int and type(spec.seed) is int
+
 
 class TestSimplexEtf:
     def test_two_classes_on_a_line(self):
