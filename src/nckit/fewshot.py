@@ -7,9 +7,17 @@ provided, both closed-form over frozen features:
 
 * ridge: one-hot multiclass ridge regression,
   W = (F^T F + lambda I)^-1 F^T Y with lambda = alpha * n^(+1/2) by
-  default (the exponent may be flipped to -1/2), found by one direct
-  solve of the regularized normal equations.
+  default (the exponent may be flipped to -1/2). ``ridge_fit`` is the
+  single-episode API and solves these p x p primal normal equations.
 * ncm: nearest class mean over the support means.
+
+``evaluate`` draws each episode as row indices into the class blocks and
+gathers the rows of a bounded chunk of episodes (about 16 MB) into one
+array. When the feature dimension p exceeds the support size
+n = k * n_shot, each chunk takes one batched solve of the dual form
+W = F^T (F F^T + lambda I)^-1 Y, an n x n system per episode; otherwise
+each episode solves its primal system as ``ridge_fit`` does. Both give
+the weights of ``ridge_fit`` up to round-off.
 
 All randomness is derived from (seed, episode_index), so evaluation is
 reproducible and independent of scheduling. Class selection is keyed to
@@ -20,14 +28,20 @@ changing which points any episode contains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
 from .embeddings import ClassPartition
 
 LAMBDA_EXPONENTS = (0.5, -0.5)
 HEADS = ("ridge", "ncm")
+
+# bytes of gathered episode rows that evaluate holds at once, so that its
+# memory does not grow with the number of episodes
+_CHUNK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -41,6 +55,8 @@ class EpisodeConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("k", "n_shot", "n_query", "episodes", "seed"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         for name in ("k", "n_shot", "n_query", "episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -62,8 +78,32 @@ class Episode:
     query: np.ndarray
 
 
-def _eligible(partition: ClassPartition, need: int) -> list[int]:
-    return [lab for lab in partition.appearance if partition.groups[lab].shape[0] >= need]
+def _eligible(partition: ClassPartition, cfg: EpisodeConfig) -> list[int]:
+    """Classes holding at least n_shot + n_query points, in appearance order."""
+    need = cfg.n_shot + cfg.n_query
+    eligible = [lab for lab in partition.appearance if partition.groups[lab].shape[0] >= need]
+    if len(eligible) < cfg.k:
+        raise ValueError(
+            f"need {cfg.k} classes with >= {need} points, partition has {len(eligible)}"
+        )
+    return eligible
+
+
+def _draw(
+    partition: ClassPartition, eligible: list[int], cfg: EpisodeConfig, index: int, out: np.ndarray
+) -> tuple[int, ...]:
+    """Draw episode ``index`` as row indices into the class blocks and gather
+    the rows into ``out`` (k, n_shot + n_query, p): classes in ascending id
+    order, support rows first. Returns the class ids."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
+    chosen = rng.choice(len(eligible), size=cfg.k, replace=False)
+    labels = [eligible[int(c)] for c in chosen]
+    need = out.shape[1]
+    rows = [rng.choice(partition.groups[lab].shape[0], size=need, replace=False) for lab in labels]
+    picked = sorted(zip(labels, rows), key=lambda item: item[0])
+    for block, (label, idx) in zip(out, picked):
+        np.take(partition.groups[label], idx, axis=0, out=block)
+    return tuple(label for label, _ in picked)
 
 
 def sample_episode(partition: ClassPartition, cfg: EpisodeConfig, episode_index: int) -> Episode:
@@ -73,30 +113,16 @@ def sample_episode(partition: ClassPartition, cfg: EpisodeConfig, episode_index:
     at least n_shot + n_query points; within each chosen class the points
     are chosen uniformly without replacement and split support/query.
     """
+    episode_index = integer("episode_index", episode_index)
     if episode_index < 0:
         raise ValueError("episode_index must be non-negative")
-    need = cfg.n_shot + cfg.n_query
-    eligible = _eligible(partition, need)
-    if len(eligible) < cfg.k:
-        raise ValueError(
-            f"need {cfg.k} classes with >= {need} points, partition has {len(eligible)}"
-        )
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, episode_index]))
-    chosen = rng.choice(len(eligible), size=cfg.k, replace=False)
-    picked = []
-    for slot in range(cfg.k):
-        label = eligible[int(chosen[slot])]
-        block = partition.groups[label]
-        idx = rng.choice(block.shape[0], size=need, replace=False)
-        picked.append((label, block[idx[: cfg.n_shot]], block[idx[cfg.n_shot:]]))
-    picked.sort(key=lambda item: item[0])
-    support = np.stack([s for _, s, _ in picked])
-    query = np.stack([q for _, _, q in picked])
+    drawn = np.empty((cfg.k, cfg.n_shot + cfg.n_query, partition.dim))
+    class_ids = _draw(partition, _eligible(partition, cfg), cfg, episode_index, drawn)
+    support = np.ascontiguousarray(drawn[:, : cfg.n_shot])
+    query = np.ascontiguousarray(drawn[:, cfg.n_shot :])
     support.setflags(write=False)
     query.setflags(write=False)
-    return Episode(
-        class_ids=tuple(label for label, _, _ in picked), support=support, query=query
-    )
+    return Episode(class_ids=class_ids, support=support, query=query)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +139,21 @@ class RidgeModel:
     class_ids: tuple[int, ...]
 
 
+def _require_strength(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _ridge_lambda(alpha: float, lambda_exponent: float, n: int) -> float:
+    """lambda = alpha * n ** lambda_exponent, with both arguments checked."""
+    _require_strength("alpha", alpha)
+    if lambda_exponent not in LAMBDA_EXPONENTS:
+        raise ValueError(f"lambda_exponent must be one of {LAMBDA_EXPONENTS}")
+    lam = alpha * n**lambda_exponent
+    _require_strength("lam", lam)
+    return lam
+
+
 def ridge_solve(features, targets, lam: float) -> np.ndarray:
     """Solve the regularized normal equations (F^T F + lam I) W = F^T T.
 
@@ -121,8 +162,7 @@ def ridge_solve(features, targets, lam: float) -> np.ndarray:
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _require_strength("lam", lam)
     if features.ndim != 2 or targets.ndim != 2 or features.shape[0] != targets.shape[0]:
         raise ValueError("features and targets must be 2-D with matching row counts")
     gram = features.T @ features + lam * np.eye(features.shape[1])
@@ -136,13 +176,9 @@ def ridge_fit(episode: Episode, alpha: float, lambda_exponent: float = 0.5) -> R
     the exponent must be +1/2 (default) or -1/2. Y is the one-hot label
     matrix with columns in ascending class-id order.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if lambda_exponent not in LAMBDA_EXPONENTS:
-        raise ValueError(f"lambda_exponent must be one of {LAMBDA_EXPONENTS}")
     k, n_shot, p = episode.support.shape
     n = k * n_shot
-    lam = alpha * n**lambda_exponent
+    lam = _ridge_lambda(alpha, lambda_exponent, n)
     features = episode.support.reshape(n, p)
     onehot = np.repeat(np.eye(k), n_shot, axis=0)
     weights = ridge_solve(features, onehot, lam)
@@ -204,18 +240,32 @@ class AccuracyReport:
         }
 
 
-def _episode_accuracy(episode: Episode, head: str, alpha: float, lambda_exponent: float) -> float:
-    k, n_query, p = episode.query.shape
-    queries = episode.query.reshape(k * n_query, p)
-    if head == "ridge":
-        model = ridge_fit(episode, alpha=alpha, lambda_exponent=lambda_exponent)
-        predicted = np.argmax(queries @ model.weights, axis=1)
-    else:
-        model = ncm_fit(episode)
-        sq_dist = np.square(queries[:, None, :] - model.means[None, :, :]).sum(axis=2)
-        predicted = np.argmin(sq_dist, axis=1)
-    truth = np.repeat(np.arange(k), n_query)
-    return float(np.mean(predicted == truth))
+def _ridge_weights(support: np.ndarray, lam: float) -> np.ndarray:
+    """Ridge weights (c, p, k) for c support sets (c, k, n_shot, p): one
+    batched solve of the dual n x n systems when p > n = k * n_shot, else
+    the primal p x p system of each episode."""
+    c, k, n_shot, p = support.shape
+    n = k * n_shot
+    features = support.reshape(c, n, p)
+    onehot = np.repeat(np.eye(k), n_shot, axis=0)
+    if p <= n:  # a batched primal solve measured no faster than this loop
+        return np.stack([ridge_solve(f, onehot, lam) for f in features])
+    transposed = features.transpose(0, 2, 1)
+    gram = features @ transposed
+    gram[:, range(n), range(n)] += lam
+    return transposed @ np.linalg.solve(gram, np.broadcast_to(onehot, (c, n, k)))
+
+
+def _nearest_support_mean(support: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Slot of the nearest support mean for every query, shape (c, k, n_query)."""
+    means = support.mean(axis=2)
+    c, k, n_query, p = query.shape
+    predicted = np.empty((c, k * n_query), dtype=np.intp)
+    for e in range(c):
+        queries = query[e].reshape(k * n_query, p)
+        diff = queries[:, None, :] - means[e][None, :, :]
+        predicted[e] = np.argmin(np.square(diff, out=diff).sum(axis=2), axis=1)
+    return predicted.reshape(c, k, n_query)
 
 
 def evaluate(
@@ -229,16 +279,30 @@ def evaluate(
 
     A pure function of its arguments: episode i depends only on
     (cfg.seed, i), so serial and concurrent evaluation agree exactly.
+    Per-episode accuracies equal those of ``sample_episode`` followed by
+    ``ridge_fit`` or ``ncm_fit``, unless round-off decides a near-tie.
     """
     if head not in HEADS:
         raise ValueError(f"head must be one of {HEADS}")
-    if head == "ridge" and alpha <= 0:
-        raise ValueError("alpha must be positive")
-    accuracies = [
-        _episode_accuracy(sample_episode(partition, cfg, i), head, alpha, lambda_exponent)
-        for i in range(cfg.episodes)
-    ]
-    per_episode = np.asarray(accuracies)
+    if head == "ridge":
+        lam = _ridge_lambda(alpha, lambda_exponent, cfg.k * cfg.n_shot)
+    eligible = _eligible(partition, cfg)
+    need = cfg.n_shot + cfg.n_query
+    chunk = max(1, _CHUNK_BYTES // (cfg.k * need * partition.dim * 8))
+    drawn = np.empty((min(chunk, cfg.episodes), cfg.k, need, partition.dim))
+    truth = np.arange(cfg.k)[:, None]
+    per_episode = np.empty(cfg.episodes)
+    for start in range(0, cfg.episodes, chunk):
+        batch = drawn[: min(chunk, cfg.episodes - start)]
+        for offset, out in enumerate(batch):
+            _draw(partition, eligible, cfg, start + offset, out)
+        support, query = batch[:, :, : cfg.n_shot], batch[:, :, cfg.n_shot :]
+        if head == "ridge":
+            predicted = np.argmax(query @ _ridge_weights(support, lam)[:, None], axis=3)
+        else:
+            predicted = _nearest_support_mean(support, query)
+        hits = (predicted == truth).reshape(len(batch), -1)
+        per_episode[start : start + len(batch)] = hits.mean(axis=1)
     if cfg.episodes > 1:
         half = 1.96 * float(per_episode.std(ddof=1)) / np.sqrt(cfg.episodes)
     else:
@@ -248,5 +312,5 @@ def evaluate(
         config=cfg,
         mean_accuracy=float(per_episode.mean()),
         ci95_halfwidth=float(half),
-        per_episode=tuple(float(a) for a in accuracies),
+        per_episode=tuple(float(a) for a in per_episode),
     )

@@ -11,16 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
 from .embeddings import LabeledEmbeddings
-
-
-def _integer(name: str, value) -> int:
-    """A spec integer: integral numbers pass (10.0 too), bools, strings and 2.7 do not."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,14 +36,18 @@ class MixtureSpec:
             raise ValueError("total variances must be non-negative")
         if not np.isfinite(means).all() or not np.isfinite(variances).all():
             raise ValueError("class_means and total_variances must be finite")
-        if self.samples_per_class < 1:
+        samples = integer("samples_per_class", self.samples_per_class)
+        seed = integer("seed", self.seed)
+        if samples < 1:
             raise ValueError("samples_per_class must be a positive integer")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         means.setflags(write=False)
         variances.setflags(write=False)
         object.__setattr__(self, "class_means", means)
         object.__setattr__(self, "total_variances", variances)
+        object.__setattr__(self, "samples_per_class", samples)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def k(self) -> int:
@@ -66,8 +62,8 @@ class MixtureSpec:
         try:
             means = doc["class_means"]
             variances = doc["total_variances"]
-            samples = _integer("samples_per_class", doc["samples_per_class"])
-            seed = _integer("seed", doc.get("seed", 0))
+            samples = doc["samples_per_class"]
+            seed = doc.get("seed", 0)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid mixture spec document: {exc}") from exc
         spec = cls(
@@ -76,7 +72,7 @@ class MixtureSpec:
             samples_per_class=samples,
             seed=seed,
         )
-        if "p" in doc and _integer("p", doc["p"]) != spec.p:
+        if "p" in doc and integer("p", doc["p"]) != spec.p:
             raise ValueError(f"declared p={doc['p']} but class_means have dimension {spec.p}")
         return spec
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nckit import fewshot
 from nckit.embeddings import ClassPartition, LabeledEmbeddings, partition_by_class
 from nckit.fewshot import (
     Episode,
@@ -330,3 +331,164 @@ class TestEvaluate:
         cfg = EpisodeConfig(k=2, n_shot=1, n_query=1, episodes=1, seed=0)
         with pytest.raises(ValueError, match="head"):
             evaluate(part, cfg, head="logistic")
+
+
+def _oracle_per_episode(part, cfg, head, alpha=1.0, lambda_exponent=0.5, indices=None):
+    """Accuracies from the single-episode API: sample_episode, then the
+    primal ridge_fit argmax or an explicit nearest support mean."""
+    accuracies = []
+    truth = np.repeat(np.arange(cfg.k), cfg.n_query)
+    for i in range(cfg.episodes) if indices is None else indices:
+        ep = sample_episode(part, cfg, i)
+        queries = ep.query.reshape(-1, part.dim)
+        if head == "ridge":
+            model = ridge_fit(ep, alpha=alpha, lambda_exponent=lambda_exponent)
+            predicted = np.argmax(queries @ model.weights, axis=1)
+        else:
+            means = ep.support.mean(axis=1)
+            predicted = np.argmin(np.square(queries[:, None] - means[None]).sum(axis=2), axis=1)
+        accuracies.append(float(np.mean(predicted == truth)))
+    return tuple(accuracies)
+
+
+def _uneven_partition(seed, dim):
+    """Unequal class sizes, interleaved appearance, three classes too small."""
+    rng = np.random.default_rng(seed)
+    sizes = [9, 30, 4, 17, 2, 12, 25, 8, 40]
+    labels = rng.permutation(np.repeat(rng.choice(90, size=len(sizes), replace=False), sizes))
+    centers = {int(lab): rng.normal(scale=0.5, size=dim) for lab in np.unique(labels)}
+    features = np.stack([centers[int(lab)] for lab in labels]) + rng.normal(size=(len(labels), dim))
+    return partition_by_class(LabeledEmbeddings(labels=labels, features=features))
+
+
+def _dict_partition(seed, dim):
+    """Built by hand: unequal blocks, appearance order unrelated to labels."""
+    rng = np.random.default_rng(seed)
+    groups = {
+        int(lab): rng.normal(size=(int(m), dim)) + rng.normal(scale=0.5, size=dim)
+        for lab, m in zip((31, 4, 17, 58, 9, 23), (14, 9, 30, 3, 11, 21))
+    }
+    return ClassPartition(dim=dim, groups=groups, appearance=(17, 58, 4, 23, 31, 9))
+
+
+class TestBatchedEvaluate:
+    # support n = k * n_shot = 9; dims above, at and below it
+    CFG = dict(k=3, n_shot=3, n_query=4, seed=21)
+
+    @pytest.mark.parametrize("dim", [20, 9, 4])
+    @pytest.mark.parametrize("build", [_uneven_partition, _dict_partition])
+    @pytest.mark.parametrize("episodes", [1, 4])
+    @pytest.mark.parametrize("head,lambda_exponent", [("ridge", 0.5), ("ridge", -0.5), ("ncm", 0.5)])
+    def test_matches_single_episode_oracle(
+        self, monkeypatch, dim, build, episodes, head, lambda_exponent
+    ):
+        cfg = EpisodeConfig(episodes=episodes, **self.CFG)
+        need = cfg.n_shot + cfg.n_query
+        # chunks of 3 episodes, so 4 episodes take one full and one partial chunk
+        monkeypatch.setattr(fewshot, "_CHUNK_BYTES", 3 * cfg.k * need * dim * 8)
+        part = build(11, dim)
+        report = evaluate(part, cfg, head=head, alpha=0.7, lambda_exponent=lambda_exponent)
+        assert report.per_episode == _oracle_per_episode(part, cfg, head, 0.7, lambda_exponent)
+
+    @pytest.mark.parametrize("head", ["ridge", "ncm"])
+    def test_collapsed_set_matches_oracle(self, head):
+        part = partition_by_class(collapsed_set(simplex_etf_means(5, 8), samples_per_class=6))
+        cfg = EpisodeConfig(k=4, n_shot=1, n_query=3, episodes=15, seed=4)
+        report = evaluate(part, cfg, head=head)
+        assert report.per_episode == _oracle_per_episode(part, cfg, head) == (1.0,) * 15
+
+    def test_default_chunk_boundary(self):
+        part = _uneven_partition(5, 64)
+        chunk = fewshot._CHUNK_BYTES // (2 * 4 * part.dim * 8)  # k 2, 4 rows per class
+        cfg = EpisodeConfig(k=2, n_shot=2, n_query=2, episodes=chunk + 1, seed=8)
+        edges = [0, chunk - 1, chunk]
+        for head in ("ridge", "ncm"):
+            report = evaluate(part, cfg, head=head)
+            want = _oracle_per_episode(part, cfg, head, indices=edges)
+            assert tuple(report.per_episode[i] for i in edges) == want
+
+    def test_dual_solves_only_n_by_n_once_per_chunk(self, monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        dim, cfg = 30, EpisodeConfig(k=3, n_shot=2, n_query=2, episodes=11, seed=3)
+        monkeypatch.setattr(fewshot, "_CHUNK_BYTES", 4 * cfg.k * 4 * dim * 8)
+        evaluate(_dict_partition(6, dim), cfg, head="ridge")
+        assert solves == [(4, 6, 6), (4, 6, 6), (3, 6, 6)]
+
+    def test_primal_when_support_outnumbers_dimension(self, monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+        cfg = EpisodeConfig(k=3, n_shot=3, n_query=2, episodes=5, seed=3)
+        evaluate(_dict_partition(7, 4), cfg, head="ridge")
+        assert solves == [(4, 4)] * 5
+
+
+class TestStrengthChecks:
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_evaluate_rejects_alpha_before_sampling(self, alpha):
+        # too few eligible classes: sampling would raise a different error
+        part = _random_partition(np.random.default_rng(30), n_classes=2)
+        cfg = EpisodeConfig(k=3, n_shot=1, n_query=1, episodes=2, seed=0)
+        with pytest.raises(ValueError, match="alpha"):
+            evaluate(part, cfg, head="ridge", alpha=alpha)
+
+    @pytest.mark.parametrize("exponent", [float("nan"), 1.0, 0.0])
+    def test_evaluate_rejects_exponent_before_sampling(self, exponent):
+        part = _random_partition(np.random.default_rng(31), n_classes=2)
+        cfg = EpisodeConfig(k=3, n_shot=1, n_query=1, episodes=2, seed=0)
+        with pytest.raises(ValueError, match="lambda_exponent"):
+            evaluate(part, cfg, head="ridge", lambda_exponent=exponent)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_ridge_fit_rejects_non_finite_alpha(self, alpha):
+        part = _random_partition(np.random.default_rng(32))
+        ep = sample_episode(part, EpisodeConfig(k=2, n_shot=2, n_query=1, episodes=1, seed=0), 0)
+        with pytest.raises(ValueError, match="alpha"):
+            ridge_fit(ep, alpha=alpha)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0])
+    def test_ridge_solve_rejects_non_finite_lam(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            ridge_solve(np.eye(2), np.eye(2), lam=lam)
+
+    def test_overflowing_lambda_is_rejected(self):
+        part = _random_partition(np.random.default_rng(33))
+        cfg = EpisodeConfig(k=2, n_shot=2, n_query=1, episodes=1, seed=0)
+        with pytest.raises(ValueError, match="lam"):
+            evaluate(part, cfg, head="ridge", alpha=1e308)
+
+
+class TestIntegerArguments:
+    BASE = dict(k=2, n_shot=1, n_query=1, episodes=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("k", 2.5), ("k", True), ("n_shot", "1"), ("n_query", float("nan")),
+         ("episodes", 1.5), ("seed", 0.5), ("seed", False)],
+    )
+    def test_episode_config_rejects_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EpisodeConfig(**{**self.BASE, field: value})
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), 3.0])
+    def test_episode_config_accepts_integral_values(self, value):
+        cfg = EpisodeConfig(k=value, n_shot=value, n_query=value, episodes=value, seed=value)
+        assert (cfg.k, cfg.seed) == (3, 3) and type(cfg.k) is int and type(cfg.seed) is int
+
+    @pytest.mark.parametrize("index", [0.5, True, "1"])
+    def test_sample_episode_rejects_non_integer_index(self, index):
+        part = _random_partition(np.random.default_rng(34))
+        with pytest.raises(ValueError, match="episode_index must be an integer"):
+            sample_episode(part, EpisodeConfig(**self.BASE), index)
+
+    def test_sample_episode_accepts_integral_index(self):
+        part = _random_partition(np.random.default_rng(35))
+        cfg = EpisodeConfig(**self.BASE)
+        want = sample_episode(part, cfg, 3)
+        for index in (np.int64(3), 3.0):
+            got = sample_episode(part, cfg, index)
+            assert got.class_ids == want.class_ids
+            np.testing.assert_array_equal(got.support, want.support)

@@ -189,3 +189,20 @@ class TestCollapsedSet:
     def test_duplicate_means_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             collapsed_set(np.zeros((2, 3)), samples_per_class=1)
+
+
+class TestMixtureSpecIntegers:
+    MEANS, VARIANCES = np.eye(2), np.ones(2)
+
+    @pytest.mark.parametrize(
+        "samples,seed", [(2.7, 1.5), (2.7, 1), (3, 1.5), (True, 1), (3, "1"), (3, float("nan"))]
+    )
+    def test_constructor_rejects_non_integers(self, samples, seed):
+        with pytest.raises(ValueError, match="must be an integer"):
+            MixtureSpec(self.MEANS, self.VARIANCES, samples, seed)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), 3.0])
+    def test_constructor_accepts_integral_values(self, value):
+        spec = MixtureSpec(self.MEANS, self.VARIANCES, value, value)
+        assert (spec.samples_per_class, spec.seed) == (3, 3)
+        assert type(spec.samples_per_class) is int and type(spec.seed) is int
