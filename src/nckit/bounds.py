@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
 from .metrics import json_float, pair_sq_dist_rows, pair_sq_dists
 
 _CHUNK = 4096
@@ -98,6 +99,7 @@ class Prop2Inputs:
     delta: float
 
     def __post_init__(self):
+        object.__setattr__(self, "l", integer("l", self.l))
         _require_nonnegative(
             avg_source_cdnv=self.avg_source_cdnv,
             sup_var=self.sup_var,
@@ -152,6 +154,7 @@ class ReluBoundInputs:
 
     def __post_init__(self):
         for name in ("p", "q", "l", "m_c"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         if not 0 < self.sup_x_norm < math.inf:
@@ -208,20 +211,22 @@ def prop5_general_bound(
     """Nearest-mean error bound 16 (k-1) (1/s + 1/n_c) * avg collapse
     value, with s = p for spherically symmetric class-conditionals and
     s = 1 otherwise."""
+    k, n_c = integer("k", k), integer("n_c", n_c)
     if k < 2:
         raise ValueError("k must be at least 2")
     if n_c < 1:
         raise ValueError("n_c must be a positive integer")
     _require_nonnegative(avg_cdnv=avg_cdnv)
-    if spherical_p is not None and spherical_p < 1:
+    s = 1 if spherical_p is None else integer("spherical_p", spherical_p)
+    if s < 1:
         raise ValueError("spherical_p must be a positive integer")
-    s = spherical_p if spherical_p is not None else 1
     return 16.0 * (k - 1) * (1.0 / s + 1.0 / n_c) * avg_cdnv
 
 
 def prop5_gaussian_bound(k: int, p: int, v_max: float) -> float:
     """Spherical-Gaussian error bound 3 (k-1) exp(-p / (32 v)) / (5 v)^(p/2),
     valid only for v = v_max <= 1/16. Evaluated in log space."""
+    k, p = integer("k", k), integer("p", p)
     if k < 2:
         raise ValueError("k must be at least 2")
     if p < 1:
@@ -245,6 +250,7 @@ def prop5_relaxed_bound(k: int, p: int, n_c: int, v_max: float, gamma: float) ->
     The second term is evaluated in log space to avoid overflow of the
     power factor at small v.
     """
+    k, p, n_c = integer("k", k), integer("p", p), integer("n_c", n_c)
     if k < 2:
         raise ValueError("k must be at least 2")
     if p < 1 or n_c < 1:
@@ -274,6 +280,7 @@ def lemma2_lower_bound(n: int, p: int) -> float:
     is at least D* (1 - 1/(p+1)) with
     D* = (2 / (n (n-1)))^(1/p) * Gamma(p/2 + 1)^(1/p) / sqrt(pi),
     computed through log-Gamma so large p cannot overflow."""
+    n, p = integer("n", n), integer("p", p)
     if n < 2:
         raise ValueError("n must be at least 2")
     if p < 1:
@@ -353,6 +360,7 @@ def prop5_bound_menu(model: GaussianClassModel, n_c: int) -> dict[str, float]:
     assumptions under which they are derived; the relaxed bound is
     minimized over a fixed gamma grid subject to its own precondition.
     """
+    n_c = integer("n_c", n_c)
     avg = model.avg_cdnv()
     menu = {"prop5-general": prop5_general_bound(model.k, n_c, avg)}
     if model.spherical:
@@ -415,6 +423,7 @@ def verify_prop5_mc(
     empirical support mean. The error frequency is compared against the
     minimum over all applicable closed-form bounds.
     """
+    n_c, trials, seed = integer("n_c", n_c), integer("trials", trials), integer("seed", seed)
     if n_c < 1:
         raise ValueError("n_c must be a positive integer")
     if trials < 100:
@@ -469,6 +478,8 @@ def verify_lemma2_mc(n: int, p: int, trials: int, seed: int) -> BoundCheckReport
     pairwise distance; the trial mean must stay above the closed-form
     bound minus three standard errors.
     """
+    n, p = integer("n", n), integer("p", p)
+    trials, seed = integer("trials", trials), integer("seed", seed)
     if n < 2:
         raise ValueError("n must be at least 2")
     if trials < 100:

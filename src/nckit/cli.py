@@ -78,13 +78,60 @@ def _atomic_path(path: str):
             os.unlink(tmp)
 
 
+@dataclass(frozen=True)
+class _Symmetric:
+    """A symmetric float matrix in a document; ``_emit`` writes it itself."""
+
+    matrix: np.ndarray
+
+
+# _emit's stand-in for a _Symmetric while json.dumps writes the rest; no
+# other string in a document holds a NUL (argv strings cannot)
+_MARK = "\0symmetric"
+
+
+def _symmetric_json(matrix: np.ndarray, indent: int) -> list[str]:
+    """What json.dumps(indent=2) writes for ``matrix`` as a nested list whose
+    key line is indented ``indent`` spaces, one piece per row, with one
+    repr per unordered pair."""
+    k = len(matrix)
+    i, j = np.triu_indices(k)
+    values = matrix[i, j]
+    words = np.array(list(map(repr, values.tolist())), dtype=object)
+    for n in np.flatnonzero(~np.isfinite(values)):
+        words[n] = json.dumps(json_float(values[n]))  # null for NaN, "inf"
+    cells = np.empty((k, k), dtype=object)
+    cells[i, j] = cells[j, i] = words
+    outer, inner = "\n" + " " * (indent + 2), "\n" + " " * (indent + 4)
+    rows = [
+        f"{',' if n else '['}{outer}[{inner}{(',' + inner).join(row)}{outer}]"
+        for n, row in enumerate(cells.tolist())
+    ]
+    return rows + ["\n" + " " * indent + "]"]
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    matrices = []
+
+    def defer(value):
+        if not isinstance(value, _Symmetric):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        matrices.append(value.matrix)
+        return _MARK
+
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=defer) + "\n"
+    # written piece by piece: joined, the 1000-class matrix text would be copied twice more
+    head, *tails = text.split(json.dumps(_MARK))
+    pieces = [head]
+    for matrix, tail in zip(matrices, tails):  # in document order, as json.dumps met them
+        key_line = pieces[-1][pieces[-1].rfind("\n") + 1 :]
+        pieces += _symmetric_json(matrix, len(key_line) - len(key_line.lstrip(" ")))
+        pieces.append(tail)
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with _atomic_path(out_path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 _FLAG_TYPES = {"int": int, "int | None": int, "float": _finite}
@@ -200,6 +247,7 @@ def _run_analyze(args) -> tuple[dict, bool, str | None]:
     fmt = _infer_format(args.input, args.format)
     embeddings = load_embeddings(args.input, format=fmt)
     partition = partition_by_class(embeddings)
+    cdnv = metrics_mod.cdnv_matrix(partition)
     config = {
         "command": "analyze",
         "input": args.input,
@@ -208,7 +256,13 @@ def _run_analyze(args) -> tuple[dict, bool, str | None]:
     }
     doc = {
         "config": config,
-        "cdnv": metrics_mod.cdnv_matrix(partition).to_json_dict(),
+        # CdnvReport.to_json_dict's fields; _emit writes the matrix itself
+        "cdnv": {
+            "labels": list(cdnv.labels),
+            "matrix": _Symmetric(cdnv.matrix),
+            "average": json_float(cdnv.average),
+            "degenerate_pairs": [list(pair) for pair in cdnv.degenerate_pairs],
+        },
         "geometry": metrics_mod.geometry(partition).to_json_dict(),
         "ccnv": json_float(metrics_mod.ccnv(partition)),
     }

@@ -11,12 +11,21 @@ with one fixed feature dimension. Two interchange formats are supported:
   dim (u32 LE), then per row a u32 LE label followed by dim IEEE-754
   float64 LE values. Bit-exact round trips.
 
+A CSV file is parsed in one C-level ``np.loadtxt`` pass: labels through
+``int()`` into int64, features into float64. The pass is taken only for
+ASCII files with a well-formed header, and its result only when it has
+one row per line, non-negative labels and finite features. Any other
+file goes through the row-by-row parse, which defines the format: it
+accepts the same files with the same values, and it names the first bad
+row and what is wrong with it. A file that is not UTF-8 is a FormatError.
+
 All containers are immutable after construction (backing arrays are marked
 read-only) and safe for concurrent read-only use.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, field
 
@@ -159,11 +168,65 @@ def _csv_header(dim: int) -> str:
     return "label," + ",".join(f"f{i}" for i in range(dim))
 
 
+# loadtxt strips these as whitespace around a number, int() and float() do not
+_NOT_FAST = (b"\r", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 def _load_csv(path) -> LabeledEmbeddings:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    if text == "":
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob == b"":
         raise FormatError("empty file")
+    table = _csv_table(blob)
+    if table is None:
+        return _csv_rows(_utf8(blob))
+    del blob  # freed before LabeledEmbeddings copies the features out of the table
+    return LabeledEmbeddings(labels=table["label"], features=table["f"])
+
+
+def _csv_table(blob: bytes) -> np.ndarray | None:
+    """The data rows of a well-formed ASCII file in one C-level parse, or None.
+
+    None sends the file to ``_csv_rows``, which gives the verdict and the
+    error message. loadtxt skips empty lines, which the row loop calls
+    ragged, so the parsed row count must equal the line count.
+    """
+    end = blob.find(b"\n")
+    # no data row; a blank first row (loadtxt warns on an all-blank body); not ASCII
+    if end < 0 or blob[end + 1 : end + 2] in (b"", b"\n") or not blob.isascii():
+        return None
+    dim = blob.count(b",", 0, end)
+    if blob[:end] != _csv_header(dim).encode() or any(c in blob for c in _NOT_FAST):
+        return None
+    rows = blob.count(b"\n", end + 1) + (not blob.endswith(b"\n"))
+    dtype = np.dtype([("label", np.int64), ("f", np.float64, (dim,))])
+    try:
+        # labels go through int() as in the row loop: some numpy versions
+        # read "5.0" into an int64 column with only a DeprecationWarning
+        table = np.loadtxt(
+            io.BytesIO(blob), dtype=dtype, delimiter=",", comments=None, skiprows=1,
+            ndmin=1, encoding="ascii", converters={0: int},
+        )
+    except ValueError:
+        return None
+    if len(table) != rows or table["label"].min() < 0 or not np.isfinite(table["f"]).all():
+        return None
+    return table
+
+
+def _utf8(blob: bytes) -> str:
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = blob.count(b"\n", 0, err.start)  # line 0 is the header
+        message = f"not UTF-8 text: {err.reason} 0x{blob[err.start]:02x} at byte {err.start}"
+        if line == 0:
+            raise FormatError(f"header: {message}") from None
+        raise FormatError(message, row=line - 1) from None
+
+
+def _csv_rows(text: str) -> LabeledEmbeddings:
+    """Parse and check the file one row at a time: the exact error path."""
     carriage_return = text.find("\r")
     if carriage_return >= 0:
         line = text.count("\n", 0, carriage_return)  # line 0 is the header

@@ -111,6 +111,7 @@ def simplex_etf_means(k: int, p: int, scale: float = 1.0) -> np.ndarray:
     zero global mean, per-mean norm equal to ``scale``, and all pairwise
     distances equal to scale * sqrt(2k / (k-1)).
     """
+    k, p = integer("k", k), integer("p", p)
     if k < 2:
         raise ValueError("k must be at least 2")
     if p < k - 1:
@@ -129,6 +130,7 @@ def simplex_etf_means(k: int, p: int, scale: float = 1.0) -> np.ndarray:
 
 def uniform_cube_means(k: int, p: int, seed: int) -> np.ndarray:
     """k i.i.d. uniform draws from the unit cube [0,1]^p."""
+    k, p, seed = integer("k", k), integer("p", p), integer("seed", seed)
     if k < 1 or p < 1:
         raise ValueError("k and p must be positive integers")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -140,6 +142,7 @@ def collapsed_set(means, samples_per_class: int) -> LabeledEmbeddings:
     means = np.asarray(means, dtype=np.float64)
     if means.ndim != 2 or means.shape[0] == 0:
         raise ValueError("means must be a non-empty (k, p) array")
+    samples_per_class = integer("samples_per_class", samples_per_class)
     if samples_per_class < 1:
         raise ValueError("samples_per_class must be a positive integer")
     if len(np.unique(means, axis=0)) != means.shape[0]:

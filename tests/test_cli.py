@@ -12,7 +12,7 @@ import nckit.bounds as bounds_mod
 import nckit.cli as cli_mod
 import nckit.metrics as metrics_mod
 from nckit.cli import main
-from nckit.embeddings import LabeledEmbeddings, load_embeddings, save_embeddings
+from nckit.embeddings import LabeledEmbeddings, load_embeddings, partition_by_class, save_embeddings
 from nckit.synth import collapsed_set, simplex_etf_means
 
 
@@ -340,6 +340,34 @@ def test_analyze_golden(capsys, tmp_path, name):
     assert got["ccnv"] == pytest.approx(want["ccnv"], rel=1e-12, abs=0)
     for key in ("within_trace", "between_trace"):
         assert got["geometry"][key] == pytest.approx(want["geometry"][key], rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("name", ["degenerate", "coincident-collapsed", "seeded-k20-p10"])
+def test_analyze_matrix_writer(capsys, tmp_path, name):
+    # NaN diagonal everywhere, "inf" pairs in the first two sets
+    embeddings = _golden_analyze_inputs()[name]
+    path = tmp_path / "input.csv"
+    save_embeddings(embeddings, path, format="csv")
+    code, out, _ = _run(capsys, ["analyze", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    want = metrics_mod.cdnv_matrix(partition_by_class(embeddings)).to_json_dict()
+    assert doc["cdnv"] == want
+    # the whole document is laid out as json.dumps writes it
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    report = tmp_path / "report.json"
+    code, _, _ = _run(capsys, ["analyze", str(path), "-o", str(report)])
+    assert code == 0
+    output = json.dumps({"output": str(report)})[1:-1]  # the one line the -o path changes
+    assert report.read_text() == out.replace('"output": null', output)
+
+
+def test_non_utf8_input_is_validation_error(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"label,f0\n0,1.0\n1,\x88\n")
+    code, _, err = _run(capsys, ["analyze", str(bad)])
+    assert code == 1
+    assert "row 1: not UTF-8 text" in err
 
 
 def _interleaved_set(seed, k, p, min_rows, max_rows, spread):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from nckit import embeddings as embeddings_mod
 from nckit.embeddings import (
     FormatError,
     LabeledEmbeddings,
@@ -122,6 +125,73 @@ class TestCsvFormat:
         # shortest round-trip repr makes the csv cycle exact, well inside
         # the 1e-15 relative contract
         assert loaded == emb
+
+
+    @pytest.mark.parametrize(
+        "blob,where",
+        [(b"label,f\xe90\n0,0.5\n", "header"), (b"label,f0\n0,0.5\n1,2\x88.5\n", "row 1")],
+        ids=["header", "data-row"],
+    )
+    def test_non_utf8_file_is_a_format_error(self, tmp_path, blob, where):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=f"{where}: not UTF-8 text"):
+            load_embeddings(path, format="csv")
+
+    def test_binary_file_read_as_csv_is_a_format_error(self, tmp_path):
+        path = tmp_path / "data.nceb"
+        save_embeddings(LabeledEmbeddings(labels=[0], features=[[1.0]]), path, format="binary")
+        with pytest.raises(FormatError, match="not UTF-8 text"):
+            load_embeddings(path)
+
+    def test_written_files_take_the_fast_parse(self, tmp_path):
+        emb = _random_set(np.random.default_rng(14), rows=50, dim=4)
+        path = tmp_path / "rt.csv"
+        save_embeddings(emb, path, format="csv")
+        table = embeddings_mod._csv_table(path.read_bytes())
+        assert table is not None
+        assert np.array_equal(table["label"], emb.labels)
+        assert table["f"].tobytes() == emb.features.tobytes()
+
+
+# tokens both parses agree on, and tokens where int(), float() and loadtxt
+# disagree or that the format rejects
+_PLAIN_TOKENS = ["0", "3", "12", "0.5", "-2.25", "1e-3", "7.5e2", "-0.0"]
+_ODD_TOKENS = [
+    "1_0", "\u0661", "\uff11", " 1.5", "+5", "5.0", "-1", str(2**63), str(2**63 - 1),
+    "nan", "inf", "-inf", "1e400", "", " ", "\t4", "\x0b4 ", "\x1c7", "7\x1f", "0x1", "x",
+]
+_TOKEN = st.sampled_from(_PLAIN_TOKENS * 3 + _ODD_TOKENS)
+
+
+def _outcome(load):
+    try:
+        emb = load()
+    except FormatError as err:
+        return str(err), err.row
+    return emb.labels.tolist(), emb.features.tobytes()
+
+
+@pytest.mark.filterwarnings("error")  # a file loadtxt cannot take must not warn either
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_fast_parse_agrees_with_the_row_loop(tmp_path, data):
+    dim = data.draw(st.integers(1, 3), label="dim")
+    lines = []
+    for _ in range(data.draw(st.integers(1, 5), label="rows")):
+        kind = data.draw(st.sampled_from(["row"] * 5 + ["blank", "ragged"]))
+        width = dim + 1 if kind == "row" else data.draw(st.sampled_from([1, dim, dim + 2]))
+        tokens = data.draw(st.lists(_TOKEN, min_size=width, max_size=width))
+        lines.append("" if kind == "blank" else ",".join(tokens))
+    text = embeddings_mod._csv_header(dim) + "\n" + "\n".join(lines)
+    if data.draw(st.booleans(), label="final newline"):
+        text += "\n"
+    path = tmp_path / "grid.csv"
+    path.write_bytes(text.encode("utf-8"))
+    loop = _outcome(lambda: embeddings_mod._csv_rows(text))
+    assert _outcome(lambda: load_embeddings(path, format="csv")) == loop
 
 
 class TestBinaryFormat:
